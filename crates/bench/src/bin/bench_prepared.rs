@@ -1,8 +1,8 @@
 //! Emits `BENCH_prepared.json` (experiment **B9**): repeated-decision
 //! latency of the prepared [`oocq_core::Engine`] session against the
-//! one-shot free functions, on the `Strategy::Full` containment family of
-//! `bench_containment` plus a multi-branch minimization workload and an
-//! isomorphic-equivalence workload.
+//! one-shot free functions, on the `Strategy::Full` containment family
+//! `full(m, f)` (EXPERIMENTS.md B7) plus a multi-branch minimization
+//! workload and an isomorphic-equivalence workload.
 //!
 //! * **unprepared** — every call goes through the free-function path
 //!   (`contains_terminal_with`, `minimize_positive_with`,
@@ -35,7 +35,7 @@ use std::sync::Arc;
 const SCHEMA: &str = "class C { items: {C}; }";
 
 /// The left query of the `full(m, f)` containment family (see
-/// `bench_containment`): `m` members, one pinned non-member, `f` floaters.
+/// EXPERIMENTS.md B7): `m` members, one pinned non-member, `f` floaters.
 /// `prefix` renames every bound variable, producing isomorphic copies.
 fn q1_text(members: usize, floaters: usize, prefix: &str) -> String {
     let mut vars = Vec::new();

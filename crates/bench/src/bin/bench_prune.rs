@@ -79,7 +79,7 @@ fn collapse_q2(schema: &Schema) -> Query {
 }
 
 /// `Q₁` of **corollary_gap** / **adversarial**: the `full(m, f)` family of
-/// `bench_containment` — `m` members, one pinned non-member, `f` floaters.
+/// EXPERIMENTS.md B7 — `m` members, one pinned non-member, `f` floaters.
 fn full_q1(schema: &Schema, members: usize, floaters: usize) -> Query {
     let c = schema.class_id("C").unwrap();
     let items = schema.attr_id("items").unwrap();

@@ -1,7 +1,7 @@
 //! Emits `BENCH_service.json` (experiment **B8**): cold-versus-warm
 //! request latency of the `oocq-serve` engine with the canonical-form
-//! decision cache, on the same `Strategy::Full` containment family as
-//! `bench_containment` plus a multi-branch minimization workload.
+//! decision cache, on the `Strategy::Full` containment family `full(m, f)`
+//! (EXPERIMENTS.md B7) plus a multi-branch minimization workload.
 //!
 //! * **cold** — a fresh [`ServiceEngine`] (empty cache) per call: the
 //!   request pays the full Theorem 3.1 branch enumeration (or the §4
@@ -29,7 +29,7 @@ use std::sync::Arc;
 const SCHEMA: &str = "class C { items: {C}; }";
 
 /// The left query of the `full(m, f)` containment family (see
-/// `bench_containment`): `m` members, one pinned non-member, `f` floaters.
+/// EXPERIMENTS.md B7): `m` members, one pinned non-member, `f` floaters.
 fn q1_text(members: usize, floaters: usize) -> String {
     let mut vars = Vec::new();
     let mut atoms = Vec::new();

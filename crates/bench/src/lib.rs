@@ -3,9 +3,9 @@
 //! Benchmark harness for the `oocq` workspace: a dependency-free
 //! measurement core (this module), one bench target per experiment family
 //! A1/B1–B6 of EXPERIMENTS.md, the `experiments` binary that regenerates
-//! every paper-example verdict (E1–E8), and the `bench_containment` binary
-//! that emits the machine-readable `BENCH_containment.json` tracked in the
-//! repository root.
+//! every paper-example verdict (E1–E8), and the `bench_*` binaries that
+//! emit the machine-readable `BENCH_*.json` files tracked in the repository
+//! root.
 //!
 //! ## Measurement model
 //!

@@ -8,8 +8,7 @@
 //! * **Global index space.** Branches are numbered `0..total` — each
 //!   consistent `S` contributes a contiguous block of `2^|T(S)|` indices,
 //!   one per membership-subset bitmask, in the same order the old inline
-//!   double loop produced them. A single `u64` therefore names a branch,
-//!   which is what makes work-stealing and deterministic merging trivial.
+//!   double loop produced them. A single `u64` therefore names a branch.
 //! * **Shared per-`S` state.** For each consistent `S` the plan stores the
 //!   augmented query `Q₁&S`, its [`QueryAnalysis`] (computed incrementally
 //!   from the base analysis via [`QueryAnalysis::extended`] rather than from
@@ -37,22 +36,14 @@
 //!   branch — so verdicts, witness order, and replay transcripts are
 //!   identical with pruning on or off ([`EngineConfig::without_pruning`]
 //!   exists so tests and benchmarks can prove that).
-//! * **Block-granular worker pool with deterministic early exit.** In
-//!   parallel mode, workers claim whole `S`-blocks from an atomic counter
-//!   and walk each block with the *same* deterministic procedure as the
-//!   serial engine, publishing refuted blocks into an atomic minimum. A
-//!   worker only stops claiming once its claim reaches a known refuted
-//!   block, so every block below the true first refutation is fully
-//!   walked; the reported failure is therefore exactly the serial scan's,
-//!   and on success the per-block witness lists — concatenated in block
-//!   order — are exactly the serial witness list. Parallel and serial
-//!   modes are observationally identical, which `tests/branch_engine.rs`
-//!   checks by differential testing.
-//!
-//! [`EngineConfig`] selects the mode: `OOCQ_THREADS=1` (or
-//! [`EngineConfig::serial`]) forces the reference serial path, and small
-//! branch counts fall back to it automatically since spawning threads for a
-//! handful of mapping searches costs more than it saves.
+//! * **One serial block walk.** Blocks are walked in index order on the
+//!   calling thread, each by the same deterministic procedure, so the
+//!   certificate — witness list, witness order, and the first refuted
+//!   branch — is a pure function of the inputs. Requests are the unit of
+//!   concurrency: the `oocq-serve` worker pool runs many decisions side by
+//!   side, never one decision across threads. A worker pool over
+//!   `S`-blocks measured no speedup over this walk on a 2-core host
+//!   (EXPERIMENTS.md B7).
 
 use crate::budget::Budget;
 use crate::cache::DecisionCache;
@@ -66,7 +57,7 @@ use oocq_query::{Atom, Query, QueryAnalysis, Term, VarId};
 use oocq_schema::{AttrId, AttrType, ClassId, Schema};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Upper bound on the number of branches (equality augmentations times
 /// membership subsets) the Theorem 3.1 enumeration will explore, as a guard
@@ -74,14 +65,13 @@ use std::sync::{Arc, Mutex};
 /// [`CoreError::BranchLimit`], not a panic.
 pub const MAX_BRANCHES: u64 = 1 << 22;
 
-/// How the containment engine schedules branch evaluation, plus the
-/// optional collaborators every decision entry point consults.
+/// How the containment engine walks the branch space, plus the optional
+/// collaborators every decision entry point consults.
 ///
-/// The default ([`EngineConfig::from_env`]) honours the `OOCQ_THREADS`
-/// environment variable and otherwise uses the machine's available
-/// parallelism. `OOCQ_THREADS=1` — or [`EngineConfig::serial`] — selects the
-/// serial reference path, which evaluates branches in index order on the
-/// calling thread.
+/// Every decision runs on the calling thread, evaluating branches in index
+/// order. The one concurrency setting, [`threads`](EngineConfig::threads),
+/// sizes the `oocq-serve` request worker pool and is read by nothing in
+/// this crate.
 ///
 /// Neither collaborator affects *what* is decided — a cache may only replay
 /// values the engine would compute, and the isomorphism fast path only
@@ -89,11 +79,10 @@ pub const MAX_BRANCHES: u64 = 1 << 22;
 /// every configuration is observationally identical on decision values.
 #[derive(Clone)]
 pub struct EngineConfig {
-    /// Worker threads for branch evaluation (`<= 1` means serial).
+    /// Request worker-pool size for a serving layer built on this
+    /// configuration (`oocq-serve` reads it; decisions themselves are
+    /// always serial).
     pub threads: usize,
-    /// Branch counts below this run serially even when `threads > 1` —
-    /// thread startup dwarfs a few mapping searches.
-    pub min_parallel_branches: u64,
     /// Memo table consulted (and fed) by the boolean containment and
     /// minimization entry points. `None` (the default) decides everything
     /// from scratch.
@@ -112,7 +101,7 @@ pub struct EngineConfig {
     /// Monotone sub-lattice pruning plus warm-start witness reuse across
     /// the `W` subsets of a block (see the module docs). Pruned branches
     /// are decided, not skipped, so this changes no decision value and no
-    /// certificate shape. On by default; `OOCQ_PRUNE=0` or
+    /// certificate shape. Always on in production;
     /// [`EngineConfig::without_pruning`] selects the exhaustive reference
     /// walk (differential tests, pruning benchmarks).
     pub prune: bool,
@@ -135,7 +124,6 @@ impl std::fmt::Debug for EngineConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineConfig")
             .field("threads", &self.threads)
-            .field("min_parallel_branches", &self.min_parallel_branches)
             .field(
                 "cache",
                 &self.cache.as_ref().map(|_| "Some(<dyn DecisionCache>)"),
@@ -159,10 +147,9 @@ pub(crate) fn parse_threads(raw: Option<&str>) -> Option<usize> {
 }
 
 impl EngineConfig {
-    /// Threads from `OOCQ_THREADS` (a positive integer; `0`, malformed, or
-    /// unset means auto-detect), defaulting to the machine's available
-    /// parallelism. This is the single reading of `OOCQ_THREADS` shared by
-    /// the branch engine and the `oocq-serve` worker pool.
+    /// Pool size from `OOCQ_THREADS` (a positive integer; `0`, malformed,
+    /// or unset means auto-detect), defaulting to the machine's available
+    /// parallelism. This is the single reading of `OOCQ_THREADS`.
     pub fn from_env() -> EngineConfig {
         let requested = parse_threads(std::env::var("OOCQ_THREADS").ok().as_deref());
         let threads = requested.unwrap_or_else(|| {
@@ -170,35 +157,13 @@ impl EngineConfig {
                 .map(|n| n.get())
                 .unwrap_or(1)
         });
-        // `OOCQ_PRUNE=0` drops to the exhaustive reference walk; anything
-        // else (including unset) keeps pruning on.
-        let prune = std::env::var("OOCQ_PRUNE")
-            .map(|v| v.trim() != "0")
-            .unwrap_or(true);
-        EngineConfig {
-            threads,
-            prune,
-            ..EngineConfig::serial_defaults(8)
-        }
+        EngineConfig::with_threads(threads)
     }
 
-    /// The serial reference engine: one thread, no fan-out anywhere.
+    /// The default engine with a one-thread pool.
     pub fn serial() -> EngineConfig {
-        EngineConfig::serial_defaults(u64::MAX)
-    }
-
-    /// A parallel engine with an explicit thread count.
-    pub fn with_threads(threads: usize) -> EngineConfig {
-        EngineConfig {
-            threads: threads.max(1),
-            ..EngineConfig::serial_defaults(8)
-        }
-    }
-
-    fn serial_defaults(min_parallel_branches: u64) -> EngineConfig {
         EngineConfig {
             threads: 1,
-            min_parallel_branches,
             cache: None,
             iso_fast_path: true,
             budget: Budget::unlimited(),
@@ -208,14 +173,11 @@ impl EngineConfig {
         }
     }
 
-    /// This configuration with its fan-out disabled but its collaborators
-    /// (cache, fast path) kept — what an already-parallel outer loop hands
-    /// to the per-item inner checks.
-    pub fn serial_inner(&self) -> EngineConfig {
+    /// The default engine with an explicit pool size (at least one).
+    pub fn with_threads(threads: usize) -> EngineConfig {
         EngineConfig {
-            threads: 1,
-            min_parallel_branches: u64::MAX,
-            ..self.clone()
+            threads: threads.max(1),
+            ..EngineConfig::serial()
         }
     }
 
@@ -233,8 +195,8 @@ impl EngineConfig {
     }
 
     /// This configuration with a request budget installed. Clones of the
-    /// configuration (including [`EngineConfig::serial_inner`]) share the
-    /// budget's counter, so one request's nested checks draw on one pool.
+    /// configuration share the budget's counter, so one request's nested
+    /// checks draw on one pool.
     pub fn with_budget(mut self, budget: Budget) -> EngineConfig {
         self.budget = budget;
         self
@@ -309,8 +271,8 @@ pub struct BranchStats {
     pub mapping_backtracks: u64,
 }
 
-/// The atomic collector behind [`BranchStats`], shared by the serial walk
-/// and every parallel worker.
+/// The atomic collector behind [`BranchStats`], shared by every walk over
+/// one target — possibly from several request threads at once.
 #[derive(Debug, Default)]
 pub(crate) struct BranchCounters {
     planned: AtomicU64,
@@ -391,7 +353,6 @@ pub(crate) struct BranchPlan<'a> {
     /// variables, so one vector serves every branch).
     classes1: &'a [ClassId],
     sbranches: Vec<SBranch>,
-    total: u64,
     /// Instrumentation shared with the [`BranchBase`] the plan was built
     /// from.
     counters: Arc<BranchCounters>,
@@ -487,7 +448,6 @@ impl<'a> BranchPlan<'a> {
             schema,
             classes1,
             sbranches,
-            total,
             counters: base.counters.clone(),
         })
     }
@@ -572,9 +532,7 @@ impl<'a> BranchPlan<'a> {
         bits
     }
 
-    /// Walk one `S`-block in mask order. This is the single deterministic
-    /// procedure both runners use, so parallel certificates are serial
-    /// certificates by construction.
+    /// Walk one `S`-block in mask order.
     ///
     /// With pruning on, a witness whose danger bits all lie inside its own
     /// mask is *stable*: it stays valid at every superset mask (see
@@ -678,34 +636,18 @@ impl<'a> BranchPlan<'a> {
         Ok(BlockResult::Holds(witnesses))
     }
 
-    /// Decide containment over the whole branch space. Serial and parallel
-    /// modes return identical values, including witness order and the
-    /// identity of the failing branch. `collect` selects certificate mode
-    /// (one witness per branch, as `decide`/`explain` report) over verdict
-    /// mode (no witness materialization — the boolean entry points drop
-    /// them anyway, and wholesale block skips then cost O(1)).
+    /// Decide containment over the whole branch space, walking the blocks
+    /// in index order (iterating the blocks directly keeps the per-branch
+    /// scheduling cost O(1)). `collect` selects certificate mode (one
+    /// witness per branch, as `decide`/`explain` report) over verdict mode
+    /// (no witness materialization — the boolean entry points drop them
+    /// anyway, and wholesale block skips then cost O(1)).
     ///
-    /// A tripped budget surfaces as [`CoreError::Timeout`] — unless a
-    /// refuted branch was already found, which is conclusive no matter how
-    /// much of the space went unexplored.
+    /// A tripped budget surfaces as [`CoreError::Timeout`]. The walk stops
+    /// at the first refuted branch, so a refutation reached within the
+    /// budget is returned as `Fails` — conclusive no matter how much of the
+    /// space went unexplored — while `Holds` needs the complete walk.
     pub(crate) fn run(
-        &self,
-        q2: &Query,
-        classes2: &[ClassId],
-        cfg: &EngineConfig,
-        collect: bool,
-    ) -> Result<Containment, CoreError> {
-        if cfg.threads <= 1 || self.total < cfg.min_parallel_branches || self.sbranches.len() < 2 {
-            self.run_serial(q2, classes2, cfg, collect)
-        } else {
-            self.run_parallel(q2, classes2, cfg, collect)
-        }
-    }
-
-    /// Block-by-block serial walk. Iterating the blocks directly (instead
-    /// of binary-searching the block for every global index) makes the
-    /// per-branch scheduling cost O(1).
-    fn run_serial(
         &self,
         q2: &Query,
         classes2: &[ClassId],
@@ -724,81 +666,6 @@ impl<'a> BranchPlan<'a> {
             }
         }
         Ok(Containment::Holds(witnesses))
-    }
-
-    /// Block-granular worker pool: workers claim whole `S`-blocks and walk
-    /// each with the same deterministic procedure as the serial engine.
-    /// Claims are handed out in block order and a worker only stops
-    /// claiming once its claim reaches a *known* refuted block, so every
-    /// block below the true first refutation is fully walked — the final
-    /// minimum is the block the serial scan fails in, and the failing mask
-    /// within it is deterministic because the block walk is.
-    fn run_parallel(
-        &self,
-        q2: &Query,
-        classes2: &[ClassId],
-        cfg: &EngineConfig,
-        collect: bool,
-    ) -> Result<Containment, CoreError> {
-        let blocks = self.sbranches.len();
-        let workers = cfg.threads.min(blocks).max(1);
-        let next = AtomicU64::new(0);
-        // Smallest block index with a refuted branch; `u64::MAX` = none.
-        let min_fail = AtomicU64::new(u64::MAX);
-        let fails: Mutex<Option<(usize, u64)>> = Mutex::new(None);
-        let collected: Mutex<Vec<(usize, Vec<MappingWitness>)>> = Mutex::new(Vec::new());
-        let budget_err: Mutex<Option<CoreError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, Vec<MappingWitness>)> = Vec::new();
-                    loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= blocks as u64 || b >= min_fail.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let b = b as usize;
-                        // The budget trip is sticky, so once one worker
-                        // records the error here every other worker's next
-                        // charge fails too and the pool winds down.
-                        match self.walk_block(&self.sbranches[b], q2, classes2, cfg, collect) {
-                            Err(e) => {
-                                *budget_err.lock().unwrap() = Some(e);
-                                break;
-                            }
-                            Ok(BlockResult::Fails { mask }) => {
-                                min_fail.fetch_min(b as u64, Ordering::AcqRel);
-                                let mut f = fails.lock().unwrap();
-                                if f.is_none_or(|(fb, _)| b < fb) {
-                                    *f = Some((b, mask));
-                                }
-                            }
-                            Ok(BlockResult::Holds(ws)) => local.push((b, ws)),
-                        }
-                    }
-                    if !local.is_empty() {
-                        collected.lock().unwrap().extend(local);
-                    }
-                });
-            }
-        });
-        // Precedence: a refutation found anywhere is a conclusive `Fails`
-        // (Theorem 3.1 needs every branch only for `Holds`), so it outranks
-        // budget exhaustion; a `Holds` claim, by contrast, is only valid if
-        // no branch was skipped, so the budget error must win over it.
-        if let Some((b, mask)) = fails.into_inner().unwrap() {
-            return Ok(Containment::Fails {
-                augmentation: Self::augmentation_in(&self.sbranches[b], mask),
-            });
-        }
-        if let Some(e) = budget_err.into_inner().unwrap() {
-            return Err(e);
-        }
-        let mut found = collected.into_inner().unwrap();
-        found.sort_unstable_by_key(|&(b, _)| b);
-        Ok(Containment::Holds(
-            found.into_iter().flat_map(|(_, ws)| ws).collect(),
-        ))
     }
 }
 
@@ -1024,66 +891,6 @@ pub(crate) fn w_candidate_floor(
     membership_candidates(schema, q1, classes1, &base.analysis).len()
 }
 
-/// Evaluate `items[0..n]` in index order, stopping at the first result
-/// `is_stop` accepts, and return the evaluated prefix as `(index, result)`
-/// pairs sorted by index — the stop item included, later items dropped.
-///
-/// With `threads > 1` the items are evaluated by a claim-counter worker pool
-/// using the same discipline as the branch engine (a worker stops claiming
-/// once its claim reaches a known stop index), so the returned prefix — and
-/// in particular the *first* stop item — is identical to the serial scan's.
-/// Used to fan out the pairwise checks of Theorem 4.1 and the per-subquery
-/// satisfiability filter of Proposition 2.1.
-pub(crate) fn par_prefix<T, F, S>(n: usize, threads: usize, eval: F, is_stop: S) -> Vec<(usize, T)>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    S: Fn(&T) -> bool + Sync,
-{
-    if threads <= 1 || n < 2 {
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let r = eval(i);
-            let stop = is_stop(&r);
-            out.push((i, r));
-            if stop {
-                break;
-            }
-        }
-        return out;
-    }
-    let workers = threads.min(n);
-    let next = AtomicU64::new(0);
-    let stop_at = AtomicU64::new(u64::MAX);
-    let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, T)> = Vec::new();
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n as u64 || idx > stop_at.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let r = eval(idx as usize);
-                    if is_stop(&r) {
-                        stop_at.fetch_min(idx, Ordering::AcqRel);
-                    }
-                    local.push((idx as usize, r));
-                }
-                if !local.is_empty() {
-                    collected.lock().unwrap().extend(local);
-                }
-            });
-        }
-    });
-    let cut = stop_at.into_inner();
-    let mut out = collected.into_inner().unwrap();
-    out.retain(|&(idx, _)| idx as u64 <= cut);
-    out.sort_unstable_by_key(|&(idx, _)| idx);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1092,11 +899,10 @@ mod tests {
     fn from_env_defaults_are_sane() {
         let cfg = EngineConfig::from_env();
         assert!(cfg.threads >= 1);
-        assert!(cfg.min_parallel_branches >= 1);
         assert!(cfg.cache.is_none());
         assert!(cfg.iso_fast_path);
         assert!(cfg.budget.is_unlimited());
-        assert!(cfg.prune, "pruning must be on unless OOCQ_PRUNE=0");
+        assert!(cfg.prune, "pruning is always on in production");
         assert_eq!(cfg.search_order, SearchOrder::MostConstrained);
         assert_eq!(EngineConfig::serial().threads, 1);
         assert!(!EngineConfig::serial().without_pruning().prune);
@@ -1123,49 +929,5 @@ mod tests {
             assert_eq!(parse_threads(Some(bad)), None, "input {bad:?}");
         }
         assert_eq!(parse_threads(None), None);
-    }
-
-    #[test]
-    fn serial_inner_keeps_collaborators() {
-        let cfg = EngineConfig::with_threads(4)
-            .without_iso_fast_path()
-            .with_budget(Budget::with_limit(7));
-        let inner = cfg.serial_inner();
-        assert_eq!(inner.threads, 1);
-        assert_eq!(inner.min_parallel_branches, u64::MAX);
-        assert!(!inner.iso_fast_path);
-        assert!(inner.cache.is_none());
-        // The inner config shares the *same* budget counter, not a copy.
-        inner.budget.charge(7).unwrap();
-        assert!(cfg.budget.charge(1).is_err());
-    }
-
-    #[test]
-    fn par_prefix_serial_and_parallel_agree() {
-        for threads in [1, 2, 4, 8] {
-            let got = par_prefix(100, threads, |i| i * i, |&r| r >= 49);
-            assert_eq!(got.len(), 8, "threads = {threads}");
-            assert_eq!(got[7], (7, 49));
-            for (k, &(idx, v)) in got.iter().enumerate() {
-                assert_eq!(idx, k);
-                assert_eq!(v, k * k);
-            }
-        }
-    }
-
-    #[test]
-    fn par_prefix_without_stop_covers_everything() {
-        let got = par_prefix(37, 4, |i| i, |_| false);
-        assert_eq!(got.len(), 37);
-        assert!(got
-            .iter()
-            .enumerate()
-            .all(|(k, &(idx, v))| idx == k && v == k));
-    }
-
-    #[test]
-    fn par_prefix_empty_and_single() {
-        assert!(par_prefix(0, 4, |i| i, |_| false).is_empty());
-        assert_eq!(par_prefix(1, 4, |i| i + 10, |_| true), vec![(0, 10)]);
     }
 }

@@ -37,18 +37,15 @@ struct BudgetInner {
     /// Work units charged so far, shared across every clone and thread.
     work: AtomicU64,
     /// Sticky trip state: once a charge fails, every later charge fails the
-    /// same way, so parallel workers all stop on the first exhaustion.
+    /// same way, so every nested check stops on the first exhaustion.
     state: AtomicU8,
 }
 
 /// A shared, thread-safe work/deadline budget for one decision request.
 ///
 /// Cloning shares the counter (`Arc` inside), so a configuration cloned
-/// into helper configs — e.g. [`EngineConfig::serial_inner`] — keeps
-/// charging the same budget. [`Budget::unlimited`] (the [`Default`]) is a
-/// free no-op.
-///
-/// [`EngineConfig::serial_inner`]: crate::EngineConfig::serial_inner
+/// into helper configs keeps charging the same budget.
+/// [`Budget::unlimited`] (the [`Default`]) is a free no-op.
 #[derive(Clone, Debug, Default)]
 pub struct Budget {
     inner: Option<Arc<BudgetInner>>,

@@ -18,9 +18,9 @@
 //! Branch enumeration and scheduling live in [`crate::branch`]: the
 //! functions here build a [`BranchPlan`] and run it under an
 //! [`EngineConfig`] — either the caller's (the `*_with` variants) or the
-//! environment's ([`EngineConfig::from_env`], honouring `OOCQ_THREADS`).
+//! default one ([`EngineConfig::from_env`]).
 
-use crate::branch::{par_prefix, BranchBase, BranchPlan, EngineConfig};
+use crate::branch::{BranchBase, BranchPlan, EngineConfig};
 use crate::error::CoreError;
 use crate::explain::Containment;
 use crate::satisfiability::{self, strip_non_range, var_classes, Satisfiability};
@@ -123,10 +123,8 @@ pub fn decide_containment(
     decide_containment_with(schema, q1, q2, &EngineConfig::from_env())
 }
 
-/// [`decide_containment`] under an explicit [`EngineConfig`]. The
-/// certificate is independent of the configuration: parallel runs report
-/// the same witnesses in the same order, and the same failing branch, as
-/// [`EngineConfig::serial`].
+/// [`decide_containment`] under an explicit [`EngineConfig`]. The verdict
+/// is independent of the configuration (see [`EngineConfig`]).
 pub fn decide_containment_with(
     schema: &Schema,
     q1: &Query,
@@ -304,10 +302,9 @@ pub fn union_contains(schema: &Schema, m: &UnionQuery, n: &UnionQuery) -> Result
     union_contains_with(schema, m, n, &EngineConfig::from_env())
 }
 
-/// [`union_contains`] under an explicit [`EngineConfig`]. With
-/// `cfg.threads > 1` the per-`Qᵢ` checks of Theorem 4.1 fan out across the
-/// worker pool (each inner containment then runs serially — the queries are
-/// positive, so each is a single branch anyway).
+/// [`union_contains`] under an explicit [`EngineConfig`]. The per-`Qᵢ`
+/// checks of Theorem 4.1 run in order and stop at the first uncovered
+/// subquery.
 pub fn union_contains_with(
     schema: &Schema,
     m: &UnionQuery,
@@ -338,37 +335,19 @@ pub(crate) fn union_contains_inner(
             return Err(CoreError::NotPositive);
         }
     }
-    let queries: Vec<&Query> = m.iter().collect();
-    let parallel = cfg.threads > 1 && queries.len() >= 2;
-    let inner = if parallel {
-        cfg.serial_inner()
-    } else {
-        cfg.clone()
-    };
-    // Is Qᵢ covered — unsatisfiable, or contained in some Pⱼ?
-    let covered = |i: usize| -> Result<bool, CoreError> {
+    // Is every Qᵢ covered — unsatisfiable, or contained in some Pⱼ? The
+    // first uncovered Qᵢ refutes, however much budget the rest would need.
+    'subqueries: for q in m {
         cfg.budget.charge(1)?;
-        let q = queries[i];
         if !presatisfied && !is_sat(schema, q)? {
-            return Ok(true); // unsatisfiable subquery contributes nothing
+            continue; // unsatisfiable subquery contributes nothing
         }
         for p in n {
-            if contains_terminal_with(schema, q, p, &inner)? {
-                return Ok(true);
+            if contains_terminal_with(schema, q, p, cfg)? {
+                continue 'subqueries;
             }
         }
-        Ok(false)
-    };
-    let results = par_prefix(
-        queries.len(),
-        if parallel { cfg.threads } else { 1 },
-        covered,
-        |r| !matches!(r, Ok(true)),
-    );
-    for (_, r) in results {
-        if !r? {
-            return Ok(false);
-        }
+        return Ok(false);
     }
     Ok(true)
 }
@@ -644,28 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_engine_matches_serial_certificates() {
-        // Force the Full strategy (both S and W enumerated) and compare the
-        // entire certificate — witness list, order, failing branch — between
-        // the serial reference engine and a 4-thread pool with no serial
-        // fallback.
-        let s = samples::single_class();
-        let par = EngineConfig {
-            threads: 4,
-            min_parallel_branches: 1,
-            ..EngineConfig::serial()
-        };
-        let ser = EngineConfig::serial();
-        let (q1, q2) = example_32_query(&s, false);
-        let (q3, _) = example_32_query(&s, true);
-        for (a, b) in [(&q1, &q2), (&q2, &q1), (&q1, &q3), (&q3, &q1)] {
-            let serial = decide_containment_with(&s, a, b, &ser).unwrap();
-            let parallel = decide_containment_with(&s, a, b, &par).unwrap();
-            assert_eq!(serial, parallel);
-        }
-    }
-
-    #[test]
     fn branch_limit_is_recoverable() {
         // One set term plus 23 candidate member variables makes 2^23
         // membership subsets — over MAX_BRANCHES. Strategy must be
@@ -796,32 +753,25 @@ mod tests {
     }
 
     #[test]
-    fn work_limit_times_out_parallel_runs_unless_a_refutation_concludes() {
+    fn work_limit_times_out_unless_a_refutation_concludes() {
         let s = samples::example_33();
         let (q1, q2) = explosion_pair(&s, 12);
-        let par = |budget| EngineConfig {
-            threads: 4,
-            min_parallel_branches: 1,
-            ..EngineConfig::serial().with_budget(budget)
-        };
+        let budgeted = |budget| EngineConfig::serial().with_budget(budget);
         assert!(matches!(
-            contains_terminal_with(&s, &q1, &q2, &par(crate::Budget::with_limit(100))),
+            contains_terminal_with(&s, &q1, &q2, &budgeted(crate::Budget::with_limit(100))),
             Err(CoreError::Timeout {
                 deadline: false,
                 ..
             })
         ));
         // A generous budget changes nothing about the decision.
-        assert!(
-            contains_terminal_with(&s, &q1, &q2, &par(crate::Budget::with_limit(1 << 20))).unwrap()
-        );
+        let generous = budgeted(crate::Budget::with_limit(1 << 20));
+        assert!(contains_terminal_with(&s, &q1, &q2, &generous).unwrap());
         // Reversed, containment fails at an early branch: the refutation is
-        // conclusive, so even a tight budget may return it — and whichever
-        // of `Fails`/`Timeout` wins the race, it must never claim `Holds`.
-        match contains_terminal_with(&s, &q2, &q1, &par(crate::Budget::with_limit(100))) {
-            Ok(holds) => assert!(!holds),
-            Err(e) => assert!(matches!(e, CoreError::Timeout { .. }), "{e:?}"),
-        }
+        // reached within the tight budget and is conclusive, so it is
+        // returned rather than a timeout.
+        let tight = budgeted(crate::Budget::with_limit(100));
+        assert!(!contains_terminal_with(&s, &q2, &q1, &tight).unwrap());
     }
 
     #[test]

@@ -296,8 +296,8 @@ pub enum SearchOrder {
 }
 
 /// Shared homomorphism-search counters, aggregated into
-/// [`crate::branch::BranchStats`]. Atomic so the parallel branch runner's
-/// workers can share one instance.
+/// [`crate::branch::BranchStats`]. Atomic so decisions on several request
+/// threads can share one prepared target's instance.
 #[derive(Debug, Default)]
 pub(crate) struct MappingCounters {
     /// Completed `find_mapping` searches.

@@ -13,7 +13,7 @@
 //! derives the schema-level closure eagerly and shares it via `Arc`, a
 //! [`PreparedQuery`] memoizes each query-level artifact lazily behind a
 //! [`OnceLock`] (an artifact a workload never touches is never built), and
-//! an [`Engine`] owns the [`EngineConfig`] (threads, decision cache,
+//! an [`Engine`] owns the [`EngineConfig`] (decision cache, budget,
 //! isomorphism fast path) and exposes the decision procedures as inherent
 //! methods over prepared values. The free `*_with` functions remain as
 //! convenience wrappers that prepare internally per call; both layers share
@@ -452,7 +452,7 @@ impl Engine {
         Engine { cfg }
     }
 
-    /// An engine configured from the environment (`OOCQ_THREADS`).
+    /// An engine over [`EngineConfig::from_env`].
     pub fn from_env() -> Engine {
         Engine::new(EngineConfig::from_env())
     }

@@ -6,17 +6,12 @@
 //! terminal conjunctive queries obtained by choosing, for every variable,
 //! one terminal descendant of its range disjunction.
 
-use crate::branch::{par_prefix, EngineConfig};
+use crate::branch::EngineConfig;
 use crate::engine::PreparedSchema;
 use crate::error::CoreError;
 use crate::satisfiability::{self, Satisfiability};
 use oocq_query::{Atom, Query, QueryAnalysis, QueryBuilder, UnionQuery};
 use oocq_schema::{ClassId, Schema};
-
-/// Expansions below this size are filtered serially even under a parallel
-/// [`EngineConfig`] — a handful of satisfiability checks is cheaper than a
-/// thread spawn.
-const MIN_PARALLEL_SUBQUERIES: usize = 32;
 
 /// The terminal choices for each variable: the deduplicated union of the
 /// terminal descendants of its range classes, in schema order. A prepared
@@ -154,10 +149,9 @@ pub fn expand_satisfiable(schema: &Schema, q: &Query) -> Result<UnionQuery, Core
     expand_satisfiable_with(schema, q, &EngineConfig::from_env())
 }
 
-/// [`expand_satisfiable`] under an explicit [`EngineConfig`]: with
-/// `cfg.threads > 1` the per-subquery satisfiability checks fan out across
-/// the worker pool (the surviving subqueries keep their expansion order
-/// either way).
+/// [`expand_satisfiable`] under an explicit [`EngineConfig`], whose budget
+/// the odometer and the per-subquery satisfiability checks charge. The
+/// surviving subqueries keep their expansion order.
 pub fn expand_satisfiable_with(
     schema: &Schema,
     q: &Query,
@@ -208,32 +202,19 @@ pub(crate) fn expand_satisfiable_inner(
     if let Some(e) = charge_err {
         return Err(e);
     }
-    let keep = |i: usize| -> Result<Option<Query>, CoreError> {
+    let mut out = UnionQuery::empty();
+    for (chosen, sub) in &subs {
         cfg.budget.charge(1)?;
-        let (chosen, sub) = &subs[i];
         #[cfg(debug_assertions)]
         debug_assert_eq!(
             satisfiability::var_classes(schema, sub).ok().as_deref(),
             Some(chosen.as_slice()),
             "odometer choices must equal the subquery's resolved classes"
         );
-        Ok(
-            match satisfiability::check(schema, sub, chosen, parent_analysis) {
-                Satisfiability::Satisfiable => Some(satisfiability::strip_non_range(sub)),
-                Satisfiability::Unsatisfiable(_) => None,
-            },
-        )
-    };
-    let threads = if cfg.threads > 1 && subs.len() >= MIN_PARALLEL_SUBQUERIES {
-        cfg.threads
-    } else {
-        1
-    };
-    let results = par_prefix(subs.len(), threads, keep, |r| r.is_err());
-    let mut out = UnionQuery::empty();
-    for (_, r) in results {
-        if let Some(survivor) = r? {
-            out.push(survivor);
+        if let Satisfiability::Satisfiable =
+            satisfiability::check(schema, sub, chosen, parent_analysis)
+        {
+            out.push(satisfiability::strip_non_range(sub));
         }
     }
     Ok(out)

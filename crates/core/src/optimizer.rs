@@ -11,8 +11,7 @@
 //! engine, so the session-local memo sits in front of the engine's real
 //! [`DecisionCache`](crate::DecisionCache) — a decision made here populates
 //! the shared cache, and a decision another session already made is a cache
-//! hit here — and every decision honours the engine's thread configuration
-//! (`OOCQ_THREADS` by default).
+//! hit here — and every decision runs under the engine's configuration.
 
 use crate::branch::EngineConfig;
 use crate::engine::{Engine, PreparedQuery, PreparedSchema};
@@ -46,8 +45,8 @@ pub struct Optimizer<'s> {
 }
 
 impl<'s> Optimizer<'s> {
-    /// Start a session for a schema, configured from the environment
-    /// (`OOCQ_THREADS`, no shared cache).
+    /// Start a session for a schema over the default engine (no shared
+    /// cache).
     pub fn new(schema: &'s Schema) -> Optimizer<'s> {
         Optimizer::with_engine(schema, Engine::from_env())
     }
@@ -326,7 +325,8 @@ mod tests {
 
     #[test]
     fn sessions_honor_the_engine_thread_config() {
-        // A parallel engine decides identically to the serial reference.
+        // The pool size rides along in the session's config and changes no
+        // decision.
         let s = samples::vehicle_rental();
         let q = vehicle_query(&s);
         let mut b = QueryBuilder::new("x");
@@ -335,21 +335,14 @@ mod tests {
         let loose = b.build();
 
         let mut serial = Optimizer::with_engine(&s, Engine::serial());
-        let mut parallel = Optimizer::with_engine(
-            &s,
-            Engine::new(EngineConfig {
-                threads: 8,
-                min_parallel_branches: 1,
-                ..EngineConfig::serial()
-            }),
-        );
-        assert_eq!(parallel.config().threads, 8);
+        let mut pooled = Optimizer::with_engine(&s, Engine::new(EngineConfig::with_threads(8)));
+        assert_eq!(pooled.config().threads, 8);
         for (a, b) in [(&q, &loose), (&loose, &q), (&q, &q)] {
             assert_eq!(
                 serial.contains(a, b).unwrap(),
-                parallel.contains(a, b).unwrap()
+                pooled.contains(a, b).unwrap()
             );
         }
-        assert_eq!(serial.minimize(&q).unwrap(), parallel.minimize(&q).unwrap());
+        assert_eq!(serial.minimize(&q).unwrap(), pooled.minimize(&q).unwrap());
     }
 }

@@ -388,18 +388,6 @@ impl ServiceEngine {
         }
     }
 
-    /// The [`EngineConfig`] one decision request runs under: serial fan-out
-    /// when the worker pool itself is parallel (requests are the unit of
-    /// concurrency), the full branch engine otherwise.
-    fn decision_config(&self, view: Arc<CountingView>) -> EngineConfig {
-        let cfg = if self.base.threads > 1 {
-            self.base.serial_inner()
-        } else {
-            self.base.clone()
-        };
-        cfg.with_cache(view)
-    }
-
     /// Execute one decision request against a pre-captured snapshot.
     /// Returns the response payload (or error message) plus stats.
     ///
@@ -442,7 +430,11 @@ impl ServiceEngine {
             hits: AtomicU64::new(0),
             decided: AtomicU64::new(0),
         });
-        let cfg = self.decision_config(view.clone()).with_budget(budget);
+        let cfg = self
+            .base
+            .clone()
+            .with_cache(view.clone())
+            .with_budget(budget);
         let result = self.execute_inner(req, snapshot, &cfg);
         let stats = RequestStats {
             cached: view.hits.load(Relaxed),

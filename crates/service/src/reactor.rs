@@ -625,6 +625,10 @@ impl EventLoop<'_> {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
+                    // Responses are small and the client waits on each:
+                    // without this, Nagle holds a reply behind the peer's
+                    // delayed ACK (~40 ms on Linux).
+                    let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
                     if self

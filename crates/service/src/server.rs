@@ -410,6 +410,8 @@ pub fn accept_loop(
                 let _ = stream.write_all(b"\n");
                 continue;
             }
+            // Same reason as the reactor: no Nagle delay on small replies.
+            let _ = stream.set_nodelay(true);
             live.fetch_add(1, SeqCst);
             let live = &live;
             scope.spawn(move || {

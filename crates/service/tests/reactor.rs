@@ -9,11 +9,12 @@
 
 use oocq_core::EngineConfig;
 use oocq_service::{accept_loop, escape, CanonicalDecisionCache, ServiceEngine};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn engine(threads: usize) -> ServiceEngine {
     ServiceEngine::with_cache(
@@ -143,5 +144,45 @@ fn reactor_transcripts_are_identical_across_thread_counts() {
     let eight = storm(pooled.addr, &sessions, 10);
     for (i, ((a, _), (b, _))) in one.iter().zip(&eight).enumerate() {
         assert_eq!(a, b, "OOCQ_THREADS changed reactor bytes on connection {i}");
+    }
+}
+
+/// Every accepted connection runs with `TCP_NODELAY`. A client that
+/// pipelines a `ping` and a decision in one write gets two reply segments;
+/// with Nagle on, the second waits for the client's delayed ACK of the
+/// first (~40 ms on Linux), so 50 rounds would take at least two seconds.
+/// The client deliberately leaves `TCP_QUICKACK` alone, and the warm-up
+/// rounds let the kernel leave its initial quick-ACK mode first.
+#[test]
+fn pipelined_replies_are_not_held_back_by_nagle() {
+    const ROUNDS: u32 = 50;
+    for reactor in [true, false] {
+        let e = engine(2);
+        e.define_schema("s", "class C {}").unwrap();
+        e.define_query("s", "Q", "{ x | x in C }").unwrap();
+        let server = Server::start(e, reactor);
+        let mut stream = TcpStream::connect(server.addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut round = || {
+            stream.write_all(b"ping\ncontains s Q Q\n").unwrap();
+            for _ in 0..2 {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                assert!(line.contains("] ok "), "unexpected reply {line:?}");
+            }
+        };
+        for _ in 0..5 {
+            round();
+        }
+        let start = Instant::now();
+        for _ in 0..ROUNDS {
+            round();
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(20 * u64::from(ROUNDS)),
+            "{ROUNDS} pipelined rounds took {elapsed:?} (reactor = {reactor}): \
+             replies are waiting on delayed ACKs"
+        );
     }
 }

@@ -1,14 +1,12 @@
-//! Differential tests for the parallel branch engine: under any
-//! [`EngineConfig`] the containment certificate — witness list, witness
-//! order, and failing branch — must be byte-identical to the serial
-//! engine's, and the full Theorem 3.1 enumeration must agree with the
-//! corollary fast paths wherever both apply.
+//! Differential tests for the branch engine: the full Theorem 3.1
+//! enumeration must agree with the corollary fast paths wherever both
+//! apply, and search order, pruning, and budgets must leave the
+//! certificate's verdict and branch walk unchanged.
 
 use oocq::gen::{random_schema, random_terminal_positive, QueryParams, Rng, SchemaParams, StdRng};
 use oocq::{
-    contains_terminal_full_with, contains_terminal_with, decide_containment_with,
-    expand_satisfiable_with, normalize, union_contains_with, Atom, Containment, Engine,
-    EngineConfig, Query, QueryBuilder, Schema, SearchOrder, Term, UnionQuery,
+    contains_terminal_full_with, contains_terminal_with, decide_containment_with, Atom,
+    Containment, Engine, EngineConfig, Query, QueryBuilder, Schema, SearchOrder, Term,
 };
 
 fn test_schema(seed: u64) -> Schema {
@@ -58,50 +56,9 @@ fn add_negative_atoms(rng: &mut impl Rng, schema: &Schema, q: &Query, count: usi
     q.with_extra_atoms(extra)
 }
 
-/// A parallel configuration that forces the threaded path even for tiny
-/// branch spaces (so every test case exercises the worker pool).
-fn forced_parallel(threads: usize) -> EngineConfig {
-    EngineConfig {
-        threads,
-        min_parallel_branches: 1,
-        ..EngineConfig::serial()
-    }
-}
-
-/// The full certificate — every witness mapping, their order, and the
-/// failing augmentation on refusal — is identical under serial and
-/// parallel configurations, across random general terminal queries that
-/// exercise all four strategies.
-#[test]
-fn parallel_certificates_match_serial() {
-    for seed in 0..96u64 {
-        let schema = test_schema(seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xb57a);
-        let p = QueryParams { vars: 3, atoms: 4 };
-        let base1 = random_terminal_positive(&mut rng, &schema, &p);
-        let base2 = random_terminal_positive(&mut rng, &schema, &p);
-        // Vary the negative-atom mix so q2 hits Positive, InequalityFree,
-        // MembershipFree, and Full across the sweep.
-        let q1 = add_negative_atoms(&mut rng, &schema, &base1, (seed % 3) as usize);
-        let q2 = add_negative_atoms(&mut rng, &schema, &base2, (seed % 4) as usize);
-        let serial = decide_containment_with(&schema, &q1, &q2, &EngineConfig::serial()).unwrap();
-        for threads in [2, 4, 8] {
-            let par =
-                decide_containment_with(&schema, &q1, &q2, &forced_parallel(threads)).unwrap();
-            assert_eq!(
-                serial,
-                par,
-                "seed {seed}, {threads} threads: certificates diverge for\n  q1 = {}\n  q2 = {}",
-                q1.display(&schema),
-                q2.display(&schema)
-            );
-        }
-    }
-}
-
 /// The full Theorem 3.1 enumeration (all S × W branches) agrees with the
 /// strategy-selected fast path (Corollaries 3.2–3.4 where applicable) on
-/// every random pair, serial and parallel alike.
+/// every random pair.
 #[test]
 fn full_enumeration_agrees_with_fast_paths() {
     for seed in 0..64u64 {
@@ -113,59 +70,14 @@ fn full_enumeration_agrees_with_fast_paths() {
         let q1 = add_negative_atoms(&mut rng, &schema, &base1, 1);
         let q2 = add_negative_atoms(&mut rng, &schema, &base2, (seed % 3) as usize);
         let fast = contains_terminal_with(&schema, &q1, &q2, &EngineConfig::serial()).unwrap();
-        let full_serial =
-            contains_terminal_full_with(&schema, &q1, &q2, &EngineConfig::serial()).unwrap();
-        let full_par = contains_terminal_full_with(&schema, &q1, &q2, &forced_parallel(4)).unwrap();
+        let full = contains_terminal_full_with(&schema, &q1, &q2, &EngineConfig::serial()).unwrap();
         assert_eq!(
             fast,
-            full_serial,
+            full,
             "seed {seed}: corollary fast path disagrees with full enumeration for\n  q1 = {}\n  q2 = {}",
             q1.display(&schema),
             q2.display(&schema)
         );
-        assert_eq!(
-            full_serial, full_par,
-            "seed {seed}: full enumeration not deterministic"
-        );
-    }
-}
-
-/// Theorem 4.1 union containment is configuration-independent: the pairwise
-/// sweep reaches the same verdict serial and parallel.
-#[test]
-fn union_containment_matches_serial() {
-    for seed in 0..48u64 {
-        let schema = test_schema(seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x0114);
-        let p = QueryParams { vars: 3, atoms: 3 };
-        let m = UnionQuery::new(
-            (0..3)
-                .map(|_| random_terminal_positive(&mut rng, &schema, &p))
-                .collect(),
-        );
-        let n = UnionQuery::new(
-            (0..3)
-                .map(|_| random_terminal_positive(&mut rng, &schema, &p))
-                .collect(),
-        );
-        let serial = union_contains_with(&schema, &m, &n, &EngineConfig::serial()).unwrap();
-        let par = union_contains_with(&schema, &m, &n, &forced_parallel(4)).unwrap();
-        assert_eq!(serial, par, "seed {seed}");
-    }
-}
-
-/// Proposition 2.1 expansion filtering keeps the same subqueries in the
-/// same order under any configuration.
-#[test]
-fn satisfiable_expansion_matches_serial() {
-    for seed in 0..48u64 {
-        let schema = test_schema(seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xe4a);
-        let q = oocq::gen::random_positive(&mut rng, &schema, &QueryParams { vars: 3, atoms: 3 });
-        let n = normalize(&q, &schema).unwrap();
-        let serial = expand_satisfiable_with(&schema, &n, &EngineConfig::serial()).unwrap();
-        let par = expand_satisfiable_with(&schema, &n, &forced_parallel(4)).unwrap();
-        assert_eq!(serial, par, "seed {seed}");
     }
 }
 
@@ -297,21 +209,7 @@ fn pruning_collapses_dominated_subsets_without_changing_the_certificate() {
     );
 }
 
-/// `OOCQ_THREADS`-style configs with absurd thread counts still terminate
-/// and agree (workers are clamped to the branch count).
-#[test]
-fn oversubscribed_thread_count_is_safe() {
-    let schema = oocq::samples::example_31();
-    let mut rng = StdRng::seed_from_u64(99);
-    let p = QueryParams { vars: 3, atoms: 4 };
-    let q1 = random_terminal_positive(&mut rng, &schema, &p);
-    let q2 = random_terminal_positive(&mut rng, &schema, &p);
-    let serial = decide_containment_with(&schema, &q1, &q2, &EngineConfig::serial()).unwrap();
-    let par = decide_containment_with(&schema, &q1, &q2, &forced_parallel(64)).unwrap();
-    assert_eq!(serial, par);
-}
-
-/// The `OOCQ_PRUNE=0` exhaustive walk honors work budgets and deadlines
+/// The exhaustive (`without_pruning`) walk honors work budgets and deadlines
 /// through exactly the same mechanism as the pruned walk — a recoverable
 /// `timeout` error, never a hang — with the same precedence pinned on both
 /// paths: a refutation found before exhaustion is conclusive (`Fails`
