@@ -311,20 +311,6 @@ pub fn union_contains_with(
     n: &UnionQuery,
     cfg: &EngineConfig,
 ) -> Result<bool, CoreError> {
-    union_contains_inner(schema, m, n, cfg, false)
-}
-
-/// [`union_contains_with`] with the per-subquery vacuity check optionally
-/// skipped: `presatisfied` asserts every subquery of `m` is already known
-/// satisfiable (true of satisfiability-filtered expansions), in which case
-/// the Theorem 4.1 sweep goes straight to the pairwise checks.
-pub(crate) fn union_contains_inner(
-    schema: &Schema,
-    m: &UnionQuery,
-    n: &UnionQuery,
-    cfg: &EngineConfig,
-    presatisfied: bool,
-) -> Result<bool, CoreError> {
     for q in m {
         if !q.is_positive() {
             return Err(CoreError::NotPositive);
@@ -339,7 +325,7 @@ pub(crate) fn union_contains_inner(
     // first uncovered Qᵢ refutes, however much budget the rest would need.
     'subqueries: for q in m {
         cfg.budget.charge(1)?;
-        if !presatisfied && !is_sat(schema, q)? {
+        if !is_sat(schema, q)? {
             continue; // unsatisfiable subquery contributes nothing
         }
         for p in n {
@@ -856,12 +842,22 @@ mod tests {
     }
 
     /// A fake cache that counts traffic and remembers puts verbatim —
-    /// enough to observe the entry points consulting and feeding it.
+    /// enough to observe the entry points consulting and feeding it. Raw
+    /// (`get_contains`/`put_contains`) and prepared traffic are counted
+    /// apart, so a test can pin which path an entry point keys through.
     struct CountingCache {
         store: std::sync::Mutex<std::collections::HashMap<(String, String), bool>>,
         gets: std::sync::atomic::AtomicUsize,
         hits: std::sync::atomic::AtomicUsize,
         puts: std::sync::atomic::AtomicUsize,
+        prepared_store: std::sync::Mutex<
+            std::collections::HashMap<
+                (oocq_query::CanonicalQuery, oocq_query::CanonicalQuery),
+                bool,
+            >,
+        >,
+        prepared_gets: std::sync::atomic::AtomicUsize,
+        prepared_puts: std::sync::atomic::AtomicUsize,
     }
 
     impl CountingCache {
@@ -871,6 +867,9 @@ mod tests {
                 gets: 0.into(),
                 hits: 0.into(),
                 puts: 0.into(),
+                prepared_store: std::sync::Mutex::new(std::collections::HashMap::new()),
+                prepared_gets: 0.into(),
+                prepared_puts: 0.into(),
             }
         }
         fn key(schema: &Schema, q1: &Query, q2: &Query) -> (String, String) {
@@ -907,6 +906,27 @@ mod tests {
             None
         }
         fn put_minimized(&self, _schema: &Schema, _q: &Query, _result: &oocq_query::UnionQuery) {}
+        fn get_contains_prepared(
+            &self,
+            p1: &crate::PreparedQuery,
+            p2: &crate::PreparedQuery,
+        ) -> Option<bool> {
+            self.prepared_gets
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let key = (p1.canonical_form().clone(), p2.canonical_form().clone());
+            self.prepared_store.lock().unwrap().get(&key).copied()
+        }
+        fn put_contains_prepared(
+            &self,
+            p1: &crate::PreparedQuery,
+            p2: &crate::PreparedQuery,
+            holds: bool,
+        ) {
+            self.prepared_puts
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let key = (p1.canonical_form().clone(), p2.canonical_form().clone());
+            self.prepared_store.lock().unwrap().insert(key, holds);
+        }
     }
 
     #[test]
@@ -927,6 +947,73 @@ mod tests {
         let uncached = contains_terminal_with(&s, &q1, &q2, &plain).unwrap();
         assert_eq!(cold, warm);
         assert_eq!(cold, uncached, "cache-on equals cache-off");
+    }
+
+    /// The generator schemas of the root crate's property sweep.
+    fn sweep_schema(seed: u64) -> Schema {
+        use oocq_gen::{random_schema, SchemaParams, StdRng};
+        match seed % 4 {
+            0 => samples::vehicle_rental(),
+            1 => samples::n1_partition(),
+            2 => samples::example_31(),
+            _ => random_schema(
+                &mut StdRng::seed_from_u64(seed),
+                &SchemaParams {
+                    roots: 2,
+                    branching: 2,
+                    object_attrs: 2,
+                    set_attrs: 1,
+                    refine_prob: 0.4,
+                },
+            ),
+        }
+    }
+
+    /// The Engine's §4 sweeps key every branch pair through the prepared
+    /// cache methods — never the raw ones — and a cached engine decides
+    /// exactly what a cacheless serial one does.
+    #[test]
+    fn engine_sweeps_never_key_the_cache_through_the_raw_path() {
+        use crate::{Engine, PreparedQuery, PreparedSchema};
+        use oocq_gen::{random_positive, random_terminal_positive, QueryParams, Rng, StdRng};
+        use std::sync::atomic::Ordering::Relaxed;
+        let cache = std::sync::Arc::new(CountingCache::new());
+        let cached = Engine::serial().with_cache(cache.clone());
+        let plain = Engine::serial();
+        for seed in 0..48u64 {
+            let schema = sweep_schema(seed);
+            let ps = PreparedSchema::new(&schema);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xe9e9);
+            let p = QueryParams { vars: 3, atoms: 3 };
+            let a = random_positive(&mut rng, &schema, &p);
+            let b = random_positive(&mut rng, &schema, &p);
+            let t = random_terminal_positive(&mut rng, &schema, &p);
+            // A non-positive left side against a terminal right one takes
+            // dispatch's mixed-shape arm.
+            let vars: Vec<_> = a.vars().collect();
+            let i = vars[rng.gen_range(0..vars.len())];
+            let mixed = a.with_extra_atoms(vec![oocq_query::Atom::Neq(
+                oocq_query::Term::Var(a.free_var()),
+                oocq_query::Term::Var(i),
+            )]);
+            // Fresh handles per engine: nothing memoized by one run can
+            // leak into the other.
+            let handles = |q: &Query| PreparedQuery::new(&ps, q.clone());
+            let pair = |e: &Engine| {
+                let (pa, pb, pt, pm) = (handles(&a), handles(&b), handles(&t), handles(&mixed));
+                (
+                    e.contains_positive(&pa, &pb),
+                    e.equivalent_positive(&pa, &pb),
+                    e.dispatch(&pm, &pt),
+                    e.minimize(&pa),
+                )
+            };
+            assert_eq!(pair(&cached), pair(&plain), "seed {seed}");
+        }
+        assert_eq!(cache.gets.load(Relaxed), 0, "raw get_contains was called");
+        assert_eq!(cache.puts.load(Relaxed), 0, "raw put_contains was called");
+        assert!(cache.prepared_gets.load(Relaxed) > 0);
+        assert!(cache.prepared_puts.load(Relaxed) > 0);
     }
 
     #[test]

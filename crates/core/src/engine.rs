@@ -39,10 +39,10 @@
 
 use crate::branch::{BranchBase, BranchStats, EngineConfig};
 use crate::budget::Budget;
-use crate::containment::{decide_sides, strategy_for, union_contains_inner, Strategy};
+use crate::containment::{decide_sides, strategy_for, Strategy};
 use crate::error::CoreError;
 use crate::explain::Containment;
-use crate::minimize::minimize_pipeline;
+use crate::minimize::{fold_survivors, redundancy_flags};
 use crate::satisfiability::{self, strip_non_range, var_classes, Satisfiability};
 use oocq_query::{canonical_form_budgeted, CanonicalQuery, Query, QueryAnalysis, UnionQuery};
 use oocq_schema::{ClassId, Schema};
@@ -421,6 +421,23 @@ impl PreparedQuery {
             .as_ref()
             .map_err(Clone::clone)
     }
+
+    /// The branches of the memoized normalized expansion, each wrapped in a
+    /// fresh handle so a branch's canonical form, satisfiability, classes
+    /// and branch base are built once for the whole pairwise sweep instead
+    /// of once per pair.
+    /// Deliberately not memoized on `self`: the handles live for one call,
+    /// so a long-lived parent never pins its branches' artifacts.
+    pub(crate) fn expansion_branches(
+        &self,
+        cfg: &EngineConfig,
+    ) -> Result<Vec<PreparedQuery>, CoreError> {
+        Ok(self
+            .normalized_expansion(cfg)?
+            .iter()
+            .map(|q| PreparedQuery::new(self.schema(), q.clone()))
+            .collect())
+    }
 }
 
 impl std::fmt::Debug for PreparedQuery {
@@ -432,9 +449,15 @@ impl std::fmt::Debug for PreparedQuery {
     }
 }
 
-/// The decision engine: an owned [`EngineConfig`] (thread pool shape,
+/// The decision engine: an owned [`EngineConfig`] (request budget,
 /// optional [`DecisionCache`](crate::DecisionCache), isomorphism fast path)
 /// plus the §3/§4 procedures as inherent methods over prepared values.
+///
+/// The §4 sweeps (`contains_positive`, the mixed-shape arm of `dispatch`,
+/// `coverage`, and `minimize`'s redundancy pass) decide every pair of
+/// expansion branches through [`Engine::contains`] over per-call branch
+/// handles, so each branch's cache key is labeled once per call and under
+/// the request budget.
 ///
 /// Contract: every method decides exactly what the corresponding free
 /// function decides — the prepared layer changes *when artifacts are built*,
@@ -586,7 +609,8 @@ impl Engine {
 
     /// `p1 ⊆ p2` for positive (not necessarily terminal) conjunctive
     /// queries: normalize, expand to satisfiable terminal unions
-    /// (memoized on each handle), then Theorem 4.1 pairwise.
+    /// (memoized on each handle), then Theorem 4.1 pairwise over per-call
+    /// branch handles.
     pub fn contains_positive(
         &self,
         p1: &PreparedQuery,
@@ -602,15 +626,54 @@ impl Engine {
                 return Ok(hit);
             }
         }
-        let u1 = p1.normalized_expansion(&self.cfg)?;
-        let u2 = p2.normalized_expansion(&self.cfg)?;
-        // The expansions are already satisfiability-filtered, so the
-        // Theorem 4.1 sweep can skip its per-subquery vacuity check.
-        let holds = union_contains_inner(p1.schema().schema(), u1, u2, &self.cfg, true)?;
+        let lefts = p1.expansion_branches(&self.cfg)?;
+        let rights = p2.expansion_branches(&self.cfg)?;
+        let mut holds = true;
+        for q in &lefts {
+            // The first uncovered subquery refutes, however much budget the
+            // rest would need.
+            if !self.covered(q, &rights)? {
+                holds = false;
+                break;
+            }
+        }
         if let Some(cache) = self.cfg.decision_cache() {
             cache.put_contains_prepared(p1, p2, holds);
         }
         Ok(holds)
+    }
+
+    /// Theorem 4.1's per-subquery test: is the terminal branch `q` contained
+    /// in some member of `rights`? Charges one budget unit per subquery.
+    /// The expansions are satisfiability-filtered, so no vacuity check.
+    fn covered(&self, q: &PreparedQuery, rights: &[PreparedQuery]) -> Result<bool, CoreError> {
+        self.cfg.budget.charge(1)?;
+        for p in rights {
+            if self.contains(q, p)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// The `explain` report for operands that are not both terminal: every
+    /// satisfiable branch of `p1`'s expansion, paired with whether some
+    /// branch of `p2`'s expansion contains it (Theorem 4.1 coverage). An
+    /// empty result means every branch of `p1` is unsatisfiable.
+    pub fn coverage(
+        &self,
+        p1: &PreparedQuery,
+        p2: &PreparedQuery,
+    ) -> Result<Vec<(PreparedQuery, bool)>, CoreError> {
+        let lefts = p1.expansion_branches(&self.cfg)?;
+        let rights = p2.expansion_branches(&self.cfg)?;
+        lefts
+            .into_iter()
+            .map(|q| {
+                let covered = self.covered(&q, &rights)?;
+                Ok((q, covered))
+            })
+            .collect()
     }
 
     /// `p1 ≡ p2` for positive conjunctive queries.
@@ -635,68 +698,14 @@ impl Engine {
             return self.contains_positive(p1, p2);
         }
         if p2.query().is_terminal(schema) {
-            let ua = p1.normalized_expansion(&self.cfg)?;
-            for sub in ua {
-                if !self.contains_fresh_left(sub, p2)? {
+            for sub in p1.expansion_branches(&self.cfg)? {
+                if !self.contains(&sub, p2)? {
                     return Ok(false);
                 }
             }
             return Ok(true);
         }
         Err(CoreError::NotPositive)
-    }
-
-    /// `q1 ⊆ p2` where the left side is a transient query (an expansion
-    /// branch) and only the right side is prepared. The right side's
-    /// artifacts come from the memo; the left side's are derived here, once
-    /// per call.
-    fn contains_fresh_left(&self, q1: &Query, p2: &PreparedQuery) -> Result<bool, CoreError> {
-        let schema = p2.schema().schema();
-        if let Some(cache) = self.cfg.decision_cache() {
-            if let Some(hit) = cache.get_contains(schema, q1, p2.query()) {
-                return Ok(hit);
-            }
-        }
-        let holds = 'decide: {
-            if let Some(theory) = crate::theory::active_theory(&self.cfg, schema) {
-                break 'decide crate::theory::decide_pair_with_theory(
-                    theory.as_ref(),
-                    schema,
-                    q1,
-                    p2.query(),
-                    strategy_for(p2.query()),
-                    &self.cfg,
-                    false,
-                )?
-                .holds();
-            }
-            if !satisfiability::satisfiability(schema, q1)?.is_satisfiable() {
-                break 'decide true; // unsatisfiable left: vacuous
-            }
-            if let Satisfiability::Unsatisfiable(_) = p2.satisfiability()? {
-                break 'decide false;
-            }
-            let stripped = strip_non_range(q1);
-            let classes = var_classes(schema, &stripped)?;
-            let base = BranchBase::build(&stripped, &classes);
-            let right = p2.branch_side()?;
-            decide_sides(
-                schema,
-                &stripped,
-                &classes,
-                &base,
-                &right.stripped,
-                &right.classes,
-                strategy_for(p2.query()),
-                &self.cfg,
-                false,
-            )?
-            .holds()
-        };
-        if let Some(cache) = self.cfg.decision_cache() {
-            cache.put_contains(schema, q1, p2.query(), holds);
-        }
-        Ok(holds)
     }
 
     /// Proposition 2.1 + Theorem 2.2: the satisfiable terminal expansion of
@@ -707,9 +716,10 @@ impl Engine {
 
     /// The full §4 pipeline: exact, search-space-optimal minimization of a
     /// positive conjunctive query. The expansion stage is memoized on the
-    /// handle; the whole result is memoized in the engine's decision cache
-    /// (keyed by the exact query — minimization output carries variable
-    /// names).
+    /// handle, and the redundancy pass decides branch pairs through
+    /// [`Engine::contains`]; the whole result is memoized in the engine's
+    /// decision cache (keyed by the exact query — minimization output
+    /// carries variable names).
     pub fn minimize(&self, p: &PreparedQuery) -> Result<UnionQuery, CoreError> {
         if !p.query().is_positive() {
             return Err(CoreError::NotPositive);
@@ -720,8 +730,12 @@ impl Engine {
                 return Ok(hit);
             }
         }
-        let expanded = p.normalized_expansion(&self.cfg)?;
-        let result = minimize_pipeline(schema, expanded, &self.cfg)?;
+        let branches = p.expansion_branches(&self.cfg)?;
+        let sat: Vec<&Query> = branches.iter().map(PreparedQuery::query).collect();
+        let dropped = redundancy_flags(&sat, &self.cfg, |i, j| {
+            self.contains(&branches[i], &branches[j])
+        })?;
+        let result = fold_survivors(schema, &sat, &dropped, &self.cfg)?;
         if let Some(cache) = self.cfg.decision_cache() {
             cache.put_minimized_prepared(p, &result);
         }

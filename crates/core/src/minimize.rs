@@ -83,7 +83,7 @@ pub fn nonredundant_union(schema: &Schema, u: &UnionQuery) -> Result<UnionQuery,
 }
 
 /// [`nonredundant_union`] under an explicit [`EngineConfig`] (governing the
-/// pairwise containment checks: threads, decision cache, and the
+/// pairwise containment checks: budget, decision cache, and the
 /// isomorphism fast path).
 pub fn nonredundant_union_with(
     schema: &Schema,
@@ -97,7 +97,9 @@ pub fn nonredundant_union_with(
         .into_iter()
         .filter_map(|(q, s)| s.then_some(q))
         .collect();
-    let dropped = redundancy_flags(schema, &sat, cfg)?;
+    let dropped = redundancy_flags(&sat, cfg, |i, j| {
+        contains_terminal_with(schema, sat[i], sat[j], cfg)
+    })?;
     Ok(sat
         .into_iter()
         .enumerate()
@@ -108,11 +110,13 @@ pub fn nonredundant_union_with(
 
 /// For a slice of satisfiable terminal positive queries: which are redundant
 /// (contained in a retained other)? Equivalent groups keep their first
-/// member.
-fn redundancy_flags(
-    schema: &Schema,
+/// member. `contains(i, j)` decides `sat[i] ⊆ sat[j]`; the free functions
+/// pass the raw terminal check, [`Engine::minimize`](crate::Engine) a check
+/// over prepared branch handles, so both share this one sweep.
+pub(crate) fn redundancy_flags(
     sat: &[&Query],
     cfg: &EngineConfig,
+    mut contains: impl FnMut(usize, usize) -> Result<bool, CoreError>,
 ) -> Result<Vec<bool>, CoreError> {
     let n = sat.len();
     // contains[i][j] = Qᵢ ⊆ Qⱼ.
@@ -130,8 +134,8 @@ fn redundancy_flags(
                 cont[i][j] = true;
                 cont[j][i] = true;
             } else {
-                cont[i][j] = contains_terminal_with(schema, sat[i], sat[j], cfg)?;
-                cont[j][i] = contains_terminal_with(schema, sat[j], sat[i], cfg)?;
+                cont[i][j] = contains(i, j)?;
+                cont[j][i] = contains(j, i)?;
             }
         }
     }
@@ -343,7 +347,9 @@ pub fn minimize_positive_report_with(
         }
     }
     let refs: Vec<&Query> = survivors.iter().collect();
-    let dropped = redundancy_flags(schema, &refs, cfg)?;
+    let dropped = redundancy_flags(&refs, cfg, |i, j| {
+        contains_terminal_with(schema, refs[i], refs[j], cfg)
+    })?;
     let mut redundant = Vec::new();
     let mut kept: Vec<Query> = Vec::new();
     for (i, sub) in survivors.iter().enumerate() {
@@ -427,31 +433,31 @@ pub fn minimize_positive_with(
     }
     let normalized = normalize(q, schema)?;
     let expanded = expand_satisfiable_with(schema, &normalized, cfg)?;
-    let result = minimize_pipeline(schema, &expanded, cfg)?;
+    let sat: Vec<&Query> = expanded.iter().collect();
+    let dropped = redundancy_flags(&sat, cfg, |i, j| {
+        contains_terminal_with(schema, sat[i], sat[j], cfg)
+    })?;
+    let result = fold_survivors(schema, &sat, &dropped, cfg)?;
     if let Some(cache) = &cfg.cache {
         cache.put_minimized(schema, q, &result);
     }
     Ok(result)
 }
 
-/// The §4 pipeline downstream of expansion — redundancy elimination
-/// (Theorem 4.1 pairwise) then per-subquery variable folding (Theorem 4.3)
-/// — over a union whose subqueries are already satisfiability-filtered (the
-/// contract of [`expand_satisfiable_with`] output). Shared by
-/// [`minimize_positive_with`] and [`Engine::minimize`](crate::Engine), which
-/// differ only in where the expansion comes from.
-pub(crate) fn minimize_pipeline(
+/// The last §4 stage: fold the variables of every subquery
+/// [`redundancy_flags`] kept (Theorem 4.3), one budget unit each. Shared by
+/// [`minimize_positive_with`] and [`Engine::minimize`](crate::Engine).
+pub(crate) fn fold_survivors(
     schema: &Schema,
-    expanded: &UnionQuery,
+    sat: &[&Query],
+    dropped: &[bool],
     cfg: &EngineConfig,
 ) -> Result<UnionQuery, CoreError> {
-    let sat: Vec<&Query> = expanded.iter().collect();
-    let dropped = redundancy_flags(schema, &sat, cfg)?;
     let minimized: Result<Vec<Query>, CoreError> = sat
         .iter()
-        .enumerate()
-        .filter(|(i, _)| !dropped[*i])
-        .map(|(_, sub)| {
+        .zip(dropped)
+        .filter(|(_, &d)| !d)
+        .map(|(sub, _)| {
             cfg.budget.charge(1)?;
             minimize_terminal_positive(schema, sub)
         })

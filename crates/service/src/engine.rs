@@ -11,10 +11,10 @@
 use crate::cache::CanonicalDecisionCache;
 use crate::flight::{FlightKey, FlightStats};
 use crate::protocol::{Request, RequestStats};
-use crate::runner::run_program_with;
+use crate::runner::{coverage_lines, run_program_with};
 use oocq_core::{
-    contains_terminal_with, expand, expand_satisfiable_with, satisfiability, Budget, DecisionCache,
-    Engine, EngineConfig, PreparedQuery, PreparedSchema, Satisfiability,
+    expand, satisfiability, Budget, DecisionCache, Engine, EngineConfig, PreparedQuery,
+    PreparedSchema, Satisfiability,
 };
 use oocq_parser::{parse_program, parse_query, parse_schema};
 use oocq_query::{normalize, Query, UnionQuery};
@@ -657,33 +657,7 @@ impl ServiceEngine {
                     let qa_c = oocq_core::compiled_left(s, qa, cfg).map_err(core)?;
                     Ok(proof.render(s, &qa_c, qb).trim_end().to_owned())
                 } else {
-                    let ua = expand_satisfiable_with(s, &normalize(qa, s).map_err(wf)?, cfg)
-                        .map_err(core)?;
-                    let ub = expand_satisfiable_with(s, &normalize(qb, s).map_err(wf)?, cfg)
-                        .map_err(core)?;
-                    let mut out = String::new();
-                    if ua.is_empty() {
-                        let _ = writeln!(
-                            out,
-                            "holds vacuously: every branch of {q1} is unsatisfiable"
-                        );
-                    }
-                    for sub in &ua {
-                        let mut covered = false;
-                        for p in &ub {
-                            if contains_terminal_with(s, sub, p, cfg).map_err(core)? {
-                                covered = true;
-                                break;
-                            }
-                        }
-                        let _ = writeln!(
-                            out,
-                            "{} {}",
-                            if covered { "covered " } else { "UNCOVERED" },
-                            sub.display(s)
-                        );
-                    }
-                    Ok(out.trim_end().to_owned())
+                    Ok(coverage_lines(&eng, pa, pb, q1).map_err(core)?.join("\n"))
                 }
             }
             Request::Expand { query, .. } => {
@@ -959,6 +933,38 @@ mod tests {
         assert!(err.starts_with("timeout"), "{err}");
         // The budget was scoped to that request; the worker still serves.
         assert_eq!(decide(&e, "contains s Small Small"), Ok("holds".to_owned()));
+    }
+
+    /// The same factorial labeling, one level down: each spoke ranges over
+    /// its own class, so the request-level canonical form is cheap, but all
+    /// ten classes expand to the one terminal `T` and the single expansion
+    /// branch is fully symmetric. The cache keys that branch pair inside
+    /// the Theorem 4.1 sweep, and that labeling must charge the request
+    /// budget too.
+    #[test]
+    fn limit_option_bounds_the_labeling_of_expansion_branches() {
+        let e = engine();
+        let classes: Vec<String> = (1..=10).map(|i| format!("C{i}")).collect();
+        let schema = format!(
+            "{}\nclass T : {} {{}}\nclass T2 {{ A: {{T}}; }}",
+            classes
+                .iter()
+                .map(|c| format!("class {c} {{}}"))
+                .collect::<Vec<_>>()
+                .join("\n"),
+            classes.join(", ")
+        );
+        e.define_schema("s", &schema).unwrap();
+        let vars: Vec<String> = (1..=10).map(|i| format!("m{i}")).collect();
+        let body: String = vars
+            .iter()
+            .zip(&classes)
+            .map(|(v, c)| format!(" & {v} in {c} & {v} in o.A"))
+            .collect();
+        let star = format!("{{ o | exists {}: o in T2{body} }}", vars.join(", "));
+        e.define_query("s", "Star", &star).unwrap();
+        let err = decide(&e, "limit=1000 contains s Star Star").unwrap_err();
+        assert!(err.starts_with("timeout"), "{err}");
     }
 
     #[test]

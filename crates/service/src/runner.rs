@@ -2,14 +2,14 @@
 //!
 //! [`run_program_with`] renders byte-identical transcripts to the original
 //! serial workbench runner (the `tests/corpus` golden files are the
-//! contract), while routing every engine decision through the configured
-//! thread pool and decision cache. The root crate's
+//! contract), while routing every engine decision through one [`Engine`]
+//! over the configured decision cache and budget. The root crate's
 //! `oocq::run_program` delegates here with
 //! [`EngineConfig::from_env`].
 
 use oocq_core::{
-    contains_terminal_with, expand, expand_satisfiable_with, satisfiability, CoreError, Engine,
-    EngineConfig, PreparedQuery, PreparedSchema, Satisfiability,
+    expand, satisfiability, CoreError, Engine, EngineConfig, PreparedQuery, PreparedSchema,
+    Satisfiability,
 };
 use oocq_parser::{parse_program, Command, ParseError, Program};
 use oocq_query::normalize;
@@ -117,28 +117,8 @@ pub fn run_program_with(program: &Program, cfg: &EngineConfig) -> Result<String,
                         let _ = writeln!(out, "  {line}");
                     }
                 } else {
-                    let ua = expand_satisfiable_with(s, &normalize(qa, s)?, cfg)?;
-                    let ub = expand_satisfiable_with(s, &normalize(qb, s)?, cfg)?;
-                    if ua.is_empty() {
-                        let _ = writeln!(
-                            out,
-                            "  holds vacuously: every branch of {a} is unsatisfiable"
-                        );
-                    }
-                    for sub in &ua {
-                        let mut covered = false;
-                        for p in &ub {
-                            if contains_terminal_with(s, sub, p, cfg)? {
-                                covered = true;
-                                break;
-                            }
-                        }
-                        let _ = writeln!(
-                            out,
-                            "  {} {}",
-                            if covered { "covered " } else { "UNCOVERED" },
-                            sub.display(s)
-                        );
+                    for line in coverage_lines(&eng, pa, pb, a)? {
+                        let _ = writeln!(out, "  {line}");
                     }
                 }
             }
@@ -168,6 +148,32 @@ pub fn run_program_with(program: &Program, cfg: &EngineConfig) -> Result<String,
         let _ = writeln!(out);
     }
     Ok(out)
+}
+
+/// The `explain` report for operands that are not both terminal, shared by
+/// the workbench and the daemon: one `covered`/`UNCOVERED` line per
+/// satisfiable branch of `pa`'s expansion ([`Engine::coverage`]), or one
+/// vacuity line when there is none. `name` is how `pa` is called in it.
+pub(crate) fn coverage_lines(
+    eng: &Engine,
+    pa: &PreparedQuery,
+    pb: &PreparedQuery,
+    name: &str,
+) -> Result<Vec<String>, CoreError> {
+    let s = pa.schema().schema();
+    let branches = eng.coverage(pa, pb)?;
+    if branches.is_empty() {
+        return Ok(vec![format!(
+            "holds vacuously: every branch of {name} is unsatisfiable"
+        )]);
+    }
+    Ok(branches
+        .iter()
+        .map(|(sub, covered)| {
+            let tag = if *covered { "covered " } else { "UNCOVERED" };
+            format!("{tag} {}", sub.query().display(s))
+        })
+        .collect())
 }
 
 #[cfg(test)]

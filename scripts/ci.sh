@@ -33,6 +33,12 @@ if [ "${OOCQ_CI_SKIP_HEAVY:-0}" != "1" ]; then
     echo "ci: bench_prune smoke (quick mode)"
     OOCQ_BENCH_QUICK=1 cargo run --release -q -p oocq-bench --bin bench_prune \
         -- target/BENCH_prune_smoke.json
+    # Prepared-engine gate: bench_prepared asserts in-binary that the
+    # prepared Engine returns the free functions' verdicts and clears a 2x
+    # median floor over them; quick mode keeps both checks.
+    echo "ci: bench_prepared smoke (quick mode)"
+    OOCQ_BENCH_QUICK=1 cargo run --release -q -p oocq-bench --bin bench_prepared \
+        -- target/BENCH_prepared_smoke.json
     # Constraint gate: bench_constrained asserts in-binary that declared
     # constraints still flip >=3 containment verdicts from fails to holds
     # through the theory hook; quick mode keeps that check without
