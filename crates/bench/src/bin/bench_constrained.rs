@@ -32,7 +32,7 @@
 //! `OOCQ_BENCH_QUICK`.
 
 use oocq_bench::{Harness, Stats};
-use oocq_core::{decide_containment_with, dispatch_containment_with, Containment, EngineConfig};
+use oocq_core::{Containment, Engine, PreparedQuery, PreparedSchema};
 use oocq_query::{Query, QueryBuilder, Term};
 use oocq_schema::{AttrType, Constraint, Schema, SchemaBuilder};
 
@@ -169,7 +169,7 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_constrained.json".into());
     let h = Harness::from_env();
-    let cfg = EngineConfig::serial();
+    let engine = Engine::serial();
     let mut entries = Vec::new();
 
     // (name, plain schema, constrained schema, Q₁, Q₂)
@@ -216,10 +216,17 @@ fn main() {
         // through the positive-query dispatcher (a boolean verdict); the
         // other fixtures are terminal and keep the full verdict kind.
         let terminal = q1.is_terminal(plain) && q2.is_terminal(plain);
+        // Fresh handles per call: every sample compiles the theory and
+        // derives the decision artifacts anew.
         let verdict = |schema: &Schema| -> &'static str {
+            let ps = PreparedSchema::new(schema);
+            let (p1, p2) = (
+                PreparedQuery::new(&ps, q1.clone()),
+                PreparedQuery::new(&ps, q2.clone()),
+            );
             if terminal {
-                verdict_label(&decide_containment_with(schema, &q1, &q2, &cfg).unwrap())
-            } else if dispatch_containment_with(schema, &q1, &q2, &cfg).unwrap() {
+                verdict_label(&engine.decide(&p1, &p2).unwrap())
+            } else if engine.dispatch(&p1, &p2).unwrap() {
                 "holds"
             } else {
                 "fails"

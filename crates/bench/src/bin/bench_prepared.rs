@@ -1,14 +1,14 @@
 //! Emits `BENCH_prepared.json` (experiment **B9**): repeated-decision
-//! latency of the prepared [`oocq_core::Engine`] session against the
-//! one-shot free functions, on the `Strategy::Full` containment family
-//! `full(m, f)` (EXPERIMENTS.md B7) plus a multi-branch minimization
-//! workload and an isomorphic-equivalence workload.
+//! latency of a warm [`oocq_core::Engine`] session against a cold one, on
+//! the `Strategy::Full` containment family `full(m, f)` (EXPERIMENTS.md
+//! B7) plus a multi-branch minimization workload and an
+//! isomorphic-equivalence workload.
 //!
-//! * **unprepared** — every call goes through the free-function path
-//!   (`contains_terminal_with`, `minimize_positive_with`,
-//!   `equivalent_terminal_with`), re-deriving analysis, terminal classes,
-//!   branch indexes, and canonical forms per call.
-//! * **prepared** — one `Engine` session holding `PreparedQuery` handles:
+//! * **unprepared** — a cold `Engine` with no decision cache that builds
+//!   fresh `PreparedSchema`/`PreparedQuery` handles inside every call, the
+//!   way the one-shot free functions do, re-deriving analysis, terminal
+//!   classes, branch indexes, and canonical forms per call.
+//! * **prepared** — one warm `Engine` session holding `PreparedQuery` handles:
 //!   artifacts are memoized on the handles and decisions are memoized in
 //!   the session's canonical decision cache, so a repeated decision reduces
 //!   to a lookup over pre-interned keys. The `equivalent_renamed` entry
@@ -24,10 +24,10 @@
 //! `OOCQ_BENCH_QUICK`.
 
 use oocq_bench::{Harness, Stats};
-use oocq_core::{
-    contains_terminal_with, equivalent_terminal_with, minimize_positive_with, Engine, EngineConfig,
-};
+use oocq_core::{Engine, PreparedQuery, PreparedSchema};
 use oocq_parser::{parse_query, parse_schema};
+use oocq_query::Query;
+use oocq_schema::Schema;
 use oocq_service::CanonicalDecisionCache;
 use std::sync::Arc;
 
@@ -81,7 +81,10 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_prepared.json".into());
     let h = Harness::from_env();
-    let cfg = EngineConfig::serial();
+    let cold = Engine::serial();
+    // Fresh handles, built inside each timed call.
+    let fresh =
+        |schema: &Schema, q: &Query| PreparedQuery::new(&PreparedSchema::new(schema), q.clone());
     let mut entries = Vec::new();
 
     // --- Repeated Strategy::Full containment. ---
@@ -92,14 +95,17 @@ fn main() {
         let engine = Engine::serial().with_cache(Arc::new(CanonicalDecisionCache::new(4096)));
         let ps = engine.prepare_schema(&schema);
         let (p1, p2) = (engine.prepare(&ps, &q1), engine.prepare(&ps, &q2));
-        let free = contains_terminal_with(&schema, &q1, &q2, &cfg).unwrap();
+        let cold_verdict = cold
+            .contains(&fresh(&schema, &q1), &fresh(&schema, &q2))
+            .unwrap();
         assert_eq!(
             engine.contains(&p1, &p2).unwrap(),
-            free,
-            "full_m2_f2: prepared verdict differs from free function"
+            cold_verdict,
+            "full_m2_f2: warm verdict differs from cold"
         );
         let unprepared = h.run("bench_prepared", "full_m2_f2/unprepared", || {
-            contains_terminal_with(&schema, &q1, &q2, &cfg).unwrap()
+            cold.contains(&fresh(&schema, &q1), &fresh(&schema, &q2))
+                .unwrap()
         });
         let prepared = h.run("bench_prepared", "full_m2_f2/prepared", || {
             engine.contains(&p1, &p2).unwrap()
@@ -119,14 +125,14 @@ fn main() {
         let engine = Engine::serial().with_cache(Arc::new(CanonicalDecisionCache::new(4096)));
         let ps = engine.prepare_schema(&min_schema);
         let p = engine.prepare(&ps, &min_q);
-        let free = minimize_positive_with(&min_schema, &min_q, &cfg).unwrap();
+        let cold_verdict = cold.minimize(&fresh(&min_schema, &min_q)).unwrap();
         assert_eq!(
             engine.minimize(&p).unwrap(),
-            free,
-            "minimize_partition: prepared result differs from free function"
+            cold_verdict,
+            "minimize_partition: warm result differs from cold"
         );
         let unprepared = h.run("bench_prepared", "minimize_partition/unprepared", || {
-            minimize_positive_with(&min_schema, &min_q, &cfg).unwrap()
+            cold.minimize(&fresh(&min_schema, &min_q)).unwrap()
         });
         let prepared = h.run("bench_prepared", "minimize_partition/prepared", || {
             engine.minimize(&p).unwrap()
@@ -147,18 +153,21 @@ fn main() {
         let engine = Engine::serial();
         let ps = engine.prepare_schema(&schema);
         let (p1, pr) = (engine.prepare(&ps, &q1), engine.prepare(&ps, &r1));
-        let free = equivalent_terminal_with(&schema, &q1, &r1, &cfg).unwrap();
+        let cold_verdict = cold
+            .equivalent(&fresh(&schema, &q1), &fresh(&schema, &r1))
+            .unwrap();
         assert_eq!(
             engine.equivalent(&p1, &pr).unwrap(),
-            free,
-            "equivalent_renamed: prepared verdict differs from free function"
+            cold_verdict,
+            "equivalent_renamed: warm verdict differs from cold"
         );
         assert!(
-            free,
+            cold_verdict,
             "equivalent_renamed: the renamed copy must be equivalent"
         );
         let unprepared = h.run("bench_prepared", "equivalent_renamed/unprepared", || {
-            equivalent_terminal_with(&schema, &q1, &r1, &cfg).unwrap()
+            cold.equivalent(&fresh(&schema, &q1), &fresh(&schema, &r1))
+                .unwrap()
         });
         let prepared = h.run("bench_prepared", "equivalent_renamed/prepared", || {
             engine.equivalent(&p1, &pr).unwrap()
@@ -186,7 +195,7 @@ fn main() {
     json.push_str("{\n");
     json.push_str("  \"schema_version\": 1,\n");
     json.push_str("  \"experiment\": \"B9\",\n");
-    json.push_str("  \"workload\": \"prepared_engine_vs_free_functions\",\n");
+    json.push_str("  \"workload\": \"warm_engine_vs_cold_engine\",\n");
     json.push_str(&format!(
         "  \"measurement\": {{ \"samples\": {}, \"min_sample_ns\": {} }},\n",
         h.samples, h.min_sample_ns

@@ -30,10 +30,7 @@
 //! `OOCQ_BENCH_SAMPLES`, `OOCQ_BENCH_MIN_SAMPLE_MS`, `OOCQ_BENCH_QUICK`.
 
 use oocq_bench::{Harness, Stats};
-use oocq_core::{
-    contains_terminal_full_with, contains_terminal_with, BranchStats, Engine, EngineConfig,
-    SearchOrder,
-};
+use oocq_core::{BranchStats, Engine, EngineConfig, SearchOrder};
 use oocq_query::{Query, QueryBuilder};
 use oocq_schema::{AttrType, Schema, SchemaBuilder};
 
@@ -154,16 +151,17 @@ fn chain_q2(schema: &Schema, len: usize) -> Query {
     b.build()
 }
 
-/// One decision through a fresh [`Engine`], returning the verdict and the
-/// left side's cumulative branch counters (exactly one decision deep).
+/// One decision over fresh handles, returning the verdict and the left
+/// side's cumulative branch counters (exactly one decision deep). The timed
+/// loops call it too, so every sample re-derives the analysis, classes and
+/// branch indexes, as a one-shot call does.
 fn probe(
     schema: &Schema,
     q1: &Query,
     q2: &Query,
-    cfg: EngineConfig,
+    engine: &Engine,
     full: bool,
 ) -> (bool, BranchStats) {
-    let engine = Engine::new(cfg);
     let ps = engine.prepare_schema(schema);
     let p1 = engine.prepare(&ps, q1);
     let p2 = engine.prepare(&ps, q2);
@@ -195,23 +193,23 @@ fn main() {
         .unwrap_or_else(|| "BENCH_prune.json".into());
     let h = Harness::from_env();
     let schema = bench_schema();
-    let pruned_cfg = EngineConfig::serial();
-    let baseline_cfg = EngineConfig::serial().without_pruning();
+    let pruned_engine = Engine::serial();
+    let baseline_engine = Engine::new(EngineConfig::serial().without_pruning());
     let mut entries = Vec::new();
 
     // --- collapse_pin(10): one stable witness retires the whole block. ---
     {
         let q1 = collapse_q1(&schema, 10);
         let q2 = collapse_q2(&schema);
-        let (holds_p, sp) = probe(&schema, &q1, &q2, pruned_cfg.clone(), false);
-        let (holds_b, sb) = probe(&schema, &q1, &q2, baseline_cfg.clone(), false);
+        let (holds_p, sp) = probe(&schema, &q1, &q2, &pruned_engine, false);
+        let (holds_b, sb) = probe(&schema, &q1, &q2, &baseline_engine, false);
         assert!(holds_p && holds_b, "collapse_pin: verdicts must hold");
         assert_eq!(sp.branches_planned, sb.branches_planned);
         let pruned = h.run("bench_prune", "collapse_pin_f10/pruned", || {
-            contains_terminal_with(&schema, &q1, &q2, &pruned_cfg).unwrap()
+            probe(&schema, &q1, &q2, &pruned_engine, false).0
         });
         let baseline = h.run("bench_prune", "collapse_pin_f10/unpruned", || {
-            contains_terminal_with(&schema, &q1, &q2, &baseline_cfg).unwrap()
+            probe(&schema, &q1, &q2, &baseline_engine, false).0
         });
         entries.push(Entry {
             name: "collapse_pin_f10".into(),
@@ -229,15 +227,15 @@ fn main() {
     {
         let q1 = full_q1(&schema, 1, 5);
         let q2 = positive_q2(&schema);
-        let (holds_p, sp) = probe(&schema, &q1, &q2, pruned_cfg.clone(), true);
-        let (holds_b, sb) = probe(&schema, &q1, &q2, baseline_cfg.clone(), true);
+        let (holds_p, sp) = probe(&schema, &q1, &q2, &pruned_engine, true);
+        let (holds_b, sb) = probe(&schema, &q1, &q2, &baseline_engine, true);
         assert!(holds_p && holds_b, "corollary_gap: verdicts must hold");
         assert_eq!(sp.branches_planned, sb.branches_planned);
         let pruned = h.run("bench_prune", "corollary_gap_m1_f5/pruned", || {
-            contains_terminal_full_with(&schema, &q1, &q2, &pruned_cfg).unwrap()
+            probe(&schema, &q1, &q2, &pruned_engine, true).0
         });
         let baseline = h.run("bench_prune", "corollary_gap_m1_f5/unpruned", || {
-            contains_terminal_full_with(&schema, &q1, &q2, &baseline_cfg).unwrap()
+            probe(&schema, &q1, &q2, &baseline_engine, true).0
         });
         entries.push(Entry {
             name: "corollary_gap_m1_f5".into(),
@@ -254,15 +252,15 @@ fn main() {
     {
         let q1 = full_q1(&schema, 1, 12);
         let q2 = collapse_q2(&schema);
-        let (holds_p, sp) = probe(&schema, &q1, &q2, pruned_cfg.clone(), false);
-        let (holds_b, sb) = probe(&schema, &q1, &q2, baseline_cfg.clone(), false);
+        let (holds_p, sp) = probe(&schema, &q1, &q2, &pruned_engine, false);
+        let (holds_b, sb) = probe(&schema, &q1, &q2, &baseline_engine, false);
         assert!(holds_p && holds_b, "adversarial: verdicts must hold");
         assert_eq!(sp.branches_planned, sb.branches_planned);
         let pruned = h.run("bench_prune", "adversarial_f12/pruned", || {
-            contains_terminal_with(&schema, &q1, &q2, &pruned_cfg).unwrap()
+            probe(&schema, &q1, &q2, &pruned_engine, false).0
         });
         let baseline = h.run("bench_prune", "adversarial_f12/unpruned", || {
-            contains_terminal_with(&schema, &q1, &q2, &baseline_cfg).unwrap()
+            probe(&schema, &q1, &q2, &baseline_engine, false).0
         });
         entries.push(Entry {
             name: "adversarial_f12".into(),
@@ -280,15 +278,16 @@ fn main() {
     {
         let q1 = chain_q1(&schema, 8);
         let q2 = chain_q2(&schema, 8);
-        let static_cfg = EngineConfig::serial().with_search_order(SearchOrder::Static);
-        let (holds_p, sp) = probe(&schema, &q1, &q2, pruned_cfg.clone(), false);
-        let (holds_b, sb) = probe(&schema, &q1, &q2, static_cfg.clone(), false);
+        let static_engine =
+            Engine::new(EngineConfig::serial().with_search_order(SearchOrder::Static));
+        let (holds_p, sp) = probe(&schema, &q1, &q2, &pruned_engine, false);
+        let (holds_b, sb) = probe(&schema, &q1, &q2, &static_engine, false);
         assert!(holds_p && holds_b, "mcf_chain: verdicts must hold");
         let pruned = h.run("bench_prune", "mcf_chain_l8/most_constrained", || {
-            contains_terminal_with(&schema, &q1, &q2, &pruned_cfg).unwrap()
+            probe(&schema, &q1, &q2, &pruned_engine, false).0
         });
         let baseline = h.run("bench_prune", "mcf_chain_l8/static_order", || {
-            contains_terminal_with(&schema, &q1, &q2, &static_cfg).unwrap()
+            probe(&schema, &q1, &q2, &static_engine, false).0
         });
         entries.push(Entry {
             name: "mcf_chain_l8".into(),

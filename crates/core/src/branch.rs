@@ -87,10 +87,16 @@ pub struct EngineConfig {
     /// minimization entry points. `None` (the default) decides everything
     /// from scratch.
     pub cache: Option<Arc<dyn DecisionCache>>,
-    /// Short-circuit equivalence-shaped checks through
-    /// [`oocq_query::isomorphic`] before running Theorem 3.1 (isomorphic
-    /// queries are equivalent). On by default; exists as a switch so tests
-    /// can show the fast path changes nothing.
+    /// Short-circuit equivalence-shaped checks on isomorphism before
+    /// running Theorem 3.1 (isomorphic queries are equivalent):
+    /// [`Engine::equivalent`](crate::Engine::equivalent) compares the
+    /// memoized canonical forms, and the §4 redundancy sweeps of
+    /// [`Engine::minimize`](crate::Engine::minimize),
+    /// [`Engine::minimize_report`](crate::Engine::minimize_report) and
+    /// [`Engine::nonredundant_union`](crate::Engine::nonredundant_union)
+    /// test branch pairs with [`oocq_query::isomorphic`]. On by default;
+    /// exists as a switch so tests can show the fast path changes
+    /// nothing.
     pub iso_fast_path: bool,
     /// The cooperative request budget the hot loops charge. The default
     /// ([`Budget::unlimited`]) never trips and costs nothing; a tripped

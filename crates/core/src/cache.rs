@@ -1,33 +1,34 @@
-//! The decision-cache hook consulted by the containment and minimization
-//! entry points.
+//! The decision-cache hook consulted by the [`Engine`](crate::Engine).
 //!
 //! The engine itself stays stateless: a [`DecisionCache`] is an optional
 //! collaborator installed on [`EngineConfig`](crate::EngineConfig) that may
 //! answer a decision before the Theorem 3.1 / §4 machinery runs, and is
-//! offered every decision the machinery does compute. The canonical
-//! implementation (`oocq-service`'s `CanonicalDecisionCache`) keys entries
-//! by schema fingerprint plus isomorphism-invariant canonical forms, so a
-//! renamed copy of a cached query hits; but the trait deliberately receives
-//! the raw [`Schema`] and [`Query`] values and leaves the keying policy to
-//! the implementor.
+//! offered every decision the machinery does compute. Every lookup is over
+//! [`PreparedQuery`] handles, so an implementation keys entries from the
+//! artifacts memoized on them — the schema
+//! [`fingerprint`](crate::PreparedSchema::fingerprint) and the
+//! [`canonical_form`](PreparedQuery::canonical_form) — instead of
+//! recomputing both per lookup. The canonical implementation
+//! (`oocq-service`'s `CanonicalDecisionCache`) keys containment that way,
+//! so a renamed copy of a cached query hits.
 //!
 //! # Soundness contract
 //!
-//! `get_contains(s, q1, q2)` may return `Some(v)` only if `v` is the value
-//! `q1 ⊆ q2` under schema `s` — for containment that value is invariant
-//! under variable renaming of either side, which is what licenses canonical
-//! keying. `get_minimized(s, q)` must return a union **structurally
-//! identical** (variable names included) to what
-//! [`minimize_positive`](crate::minimize_positive) would produce for `q`,
-//! because minimization results are rendered back to users; implementations
-//! therefore key minimization entries by the exact query, not its canonical
-//! class. Certificates ([`decide_containment`](crate::decide_containment))
-//! are never cached: their witness text mentions concrete variable names on
-//! both sides and is cheap to recompute relative to its size.
+//! `get_contains_prepared(p1, p2)` may return `Some(v)` only if `v` is the
+//! value `p1 ⊆ p2` under their schema — for containment that value is
+//! invariant under variable renaming of either side, which is what
+//! licenses canonical keying. `get_minimized_prepared(p)` must return a
+//! union **structurally identical** (variable names included) to what
+//! [`Engine::minimize`](crate::Engine::minimize) would produce for `p`,
+//! because minimization results are rendered back to users;
+//! implementations therefore key minimization entries by the exact query,
+//! not its canonical class. Certificates
+//! ([`Engine::decide`](crate::Engine::decide)) are never cached: their
+//! witness text mentions concrete variable names on both sides and is cheap
+//! to recompute relative to its size.
 
 use crate::engine::PreparedQuery;
-use oocq_query::{Query, UnionQuery};
-use oocq_schema::Schema;
+use oocq_query::UnionQuery;
 
 /// A memo table for containment and minimization decisions, shared across
 /// threads (`Send + Sync`: the service consults one cache from a whole
@@ -35,40 +36,16 @@ use oocq_schema::Schema;
 ///
 /// All methods take `&self`; implementations handle their own locking.
 pub trait DecisionCache: Send + Sync {
-    /// A previously recorded value of `q1 ⊆ q2` under `schema`, if any.
-    fn get_contains(&self, schema: &Schema, q1: &Query, q2: &Query) -> Option<bool>;
+    /// A previously recorded value of `p1 ⊆ p2`, if any.
+    fn get_contains_prepared(&self, p1: &PreparedQuery, p2: &PreparedQuery) -> Option<bool>;
 
-    /// Record `q1 ⊆ q2 = holds` under `schema`.
-    fn put_contains(&self, schema: &Schema, q1: &Query, q2: &Query, holds: bool);
+    /// Record `p1 ⊆ p2 = holds`.
+    fn put_contains_prepared(&self, p1: &PreparedQuery, p2: &PreparedQuery, holds: bool);
 
-    /// A previously recorded minimization of `q` under `schema`, if any.
-    /// Must be structurally identical to the engine's output for `q`.
-    fn get_minimized(&self, schema: &Schema, q: &Query) -> Option<UnionQuery>;
+    /// A previously recorded minimization of `p`, if any. Must be
+    /// structurally identical to the engine's output for `p`.
+    fn get_minimized_prepared(&self, p: &PreparedQuery) -> Option<UnionQuery>;
 
-    /// Record the minimization of `q` under `schema`.
-    fn put_minimized(&self, schema: &Schema, q: &Query, result: &UnionQuery);
-
-    /// [`get_contains`](Self::get_contains) over prepared operands. The
-    /// default delegates to the plain method; canonical-keying
-    /// implementations override it to read the memoized
-    /// [`canonical_form`](PreparedQuery::canonical_form) and schema
-    /// fingerprint instead of recomputing both per lookup.
-    fn get_contains_prepared(&self, p1: &PreparedQuery, p2: &PreparedQuery) -> Option<bool> {
-        self.get_contains(p1.schema().schema(), p1.query(), p2.query())
-    }
-
-    /// [`put_contains`](Self::put_contains) over prepared operands.
-    fn put_contains_prepared(&self, p1: &PreparedQuery, p2: &PreparedQuery, holds: bool) {
-        self.put_contains(p1.schema().schema(), p1.query(), p2.query(), holds);
-    }
-
-    /// [`get_minimized`](Self::get_minimized) over a prepared operand.
-    fn get_minimized_prepared(&self, p: &PreparedQuery) -> Option<UnionQuery> {
-        self.get_minimized(p.schema().schema(), p.query())
-    }
-
-    /// [`put_minimized`](Self::put_minimized) over a prepared operand.
-    fn put_minimized_prepared(&self, p: &PreparedQuery, result: &UnionQuery) {
-        self.put_minimized(p.schema().schema(), p.query(), result);
-    }
+    /// Record the minimization of `p`.
+    fn put_minimized_prepared(&self, p: &PreparedQuery, result: &UnionQuery);
 }

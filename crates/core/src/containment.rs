@@ -15,16 +15,18 @@
 //! [`contains_terminal_full`] forces the full Theorem 3.1 enumeration (used
 //! by the benchmarks to measure what the corollaries save).
 //!
-//! Branch enumeration and scheduling live in [`crate::branch`]: the
-//! functions here build a [`BranchPlan`] and run it under an
-//! [`EngineConfig`] — either the caller's (the `*_with` variants) or the
-//! default one ([`EngineConfig::from_env`]).
+//! Branch enumeration and scheduling live in [`crate::branch`]:
+//! [`decide_sides`] builds a [`BranchPlan`] and runs it under the
+//! [`Engine`]'s [`EngineConfig`]. The public functions here are one-shot
+//! wrappers: each prepares fresh handles and calls one [`Engine::serial`]
+//! method.
 
 use crate::branch::{BranchBase, BranchPlan, EngineConfig};
+use crate::engine::{one_shot, Engine, PreparedSchema};
 use crate::error::CoreError;
 use crate::explain::Containment;
 use crate::satisfiability::{self, strip_non_range, var_classes, Satisfiability};
-use oocq_query::{Query, QueryAnalysis, UnionQuery};
+use oocq_query::{Query, UnionQuery};
 use oocq_schema::Schema;
 
 /// Which containment condition applies, by the atom content of the
@@ -88,28 +90,8 @@ pub fn strategy_for(q2: &Query) -> Strategy {
 /// assert!(!contains_terminal(&s, &two, &three).unwrap());
 /// ```
 pub fn contains_terminal(schema: &Schema, q1: &Query, q2: &Query) -> Result<bool, CoreError> {
-    contains_terminal_with(schema, q1, q2, &EngineConfig::from_env())
-}
-
-/// [`contains_terminal`] under an explicit [`EngineConfig`]. Consults (and
-/// feeds) `cfg.cache` when one is installed; the cached value is the same
-/// boolean the engine computes, so the cache is observationally invisible.
-pub fn contains_terminal_with(
-    schema: &Schema,
-    q1: &Query,
-    q2: &Query,
-    cfg: &EngineConfig,
-) -> Result<bool, CoreError> {
-    if let Some(cache) = cfg.decision_cache() {
-        if let Some(hit) = cache.get_contains(schema, q1, q2) {
-            return Ok(hit);
-        }
-    }
-    let holds = decide_with(schema, q1, q2, strategy_for(q2), cfg, false)?.holds();
-    if let Some(cache) = cfg.decision_cache() {
-        cache.put_contains(schema, q1, q2, holds);
-    }
-    Ok(holds)
+    let [p1, p2] = one_shot(schema, [q1, q2]);
+    Engine::serial().contains(&p1, &p2)
 }
 
 /// Decide `q1 ⊆ q2` and return the full certificate: witness mappings for
@@ -120,98 +102,31 @@ pub fn decide_containment(
     q1: &Query,
     q2: &Query,
 ) -> Result<Containment, CoreError> {
-    decide_containment_with(schema, q1, q2, &EngineConfig::from_env())
-}
-
-/// [`decide_containment`] under an explicit [`EngineConfig`]. The verdict
-/// is independent of the configuration (see [`EngineConfig`]).
-pub fn decide_containment_with(
-    schema: &Schema,
-    q1: &Query,
-    q2: &Query,
-    cfg: &EngineConfig,
-) -> Result<Containment, CoreError> {
-    decide_with(schema, q1, q2, strategy_for(q2), cfg, true)
+    let [p1, p2] = one_shot(schema, [q1, q2]);
+    Engine::serial().decide(&p1, &p2)
 }
 
 /// Decide `q1 ⊆ q2` using the full Theorem 3.1 enumeration regardless of
 /// `q2`'s shape (sound for every terminal `q2`; used to benchmark the
 /// corollaries' savings).
 pub fn contains_terminal_full(schema: &Schema, q1: &Query, q2: &Query) -> Result<bool, CoreError> {
-    contains_terminal_full_with(schema, q1, q2, &EngineConfig::from_env())
+    let [p1, p2] = one_shot(schema, [q1, q2]);
+    Engine::serial().contains_full(&p1, &p2)
 }
 
-/// [`contains_terminal_full`] under an explicit [`EngineConfig`].
-pub fn contains_terminal_full_with(
-    schema: &Schema,
-    q1: &Query,
-    q2: &Query,
-    cfg: &EngineConfig,
-) -> Result<bool, CoreError> {
-    Ok(decide_with(schema, q1, q2, Strategy::Full, cfg, false)?.holds())
-}
-
-/// `q1 ≡ q2` for terminal conjunctive queries.
+/// `q1 ≡ q2` for terminal conjunctive queries. Isomorphic queries are
+/// recognized as equivalent without running Theorem 3.1 at all (see
+/// [`Engine::equivalent`]).
 pub fn equivalent_terminal(schema: &Schema, q1: &Query, q2: &Query) -> Result<bool, CoreError> {
-    equivalent_terminal_with(schema, q1, q2, &EngineConfig::from_env())
-}
-
-/// [`equivalent_terminal`] under an explicit [`EngineConfig`]. With
-/// `cfg.iso_fast_path` (the default), structurally isomorphic queries are
-/// recognized as equivalent without running Theorem 3.1 at all — a variable
-/// renaming preserves the answer set, so isomorphic queries are equivalent
-/// over every schema.
-pub fn equivalent_terminal_with(
-    schema: &Schema,
-    q1: &Query,
-    q2: &Query,
-    cfg: &EngineConfig,
-) -> Result<bool, CoreError> {
-    if cfg.iso_fast_path && oocq_query::isomorphic(q1, q2) {
-        return Ok(true);
-    }
-    Ok(
-        contains_terminal_with(schema, q1, q2, cfg)?
-            && contains_terminal_with(schema, q2, q1, cfg)?,
-    )
-}
-
-fn is_sat(schema: &Schema, q: &Query) -> Result<bool, CoreError> {
-    let classes = var_classes(schema, q)?;
-    let analysis = QueryAnalysis::of(q);
-    Ok(matches!(
-        satisfiability::check(schema, q, &classes, &analysis),
-        Satisfiability::Satisfiable
-    ))
-}
-
-fn decide_with(
-    schema: &Schema,
-    q1: &Query,
-    q2: &Query,
-    strategy: Strategy,
-    cfg: &EngineConfig,
-    collect: bool,
-) -> Result<Containment, CoreError> {
-    if let Some(theory) = crate::theory::active_theory(cfg, schema) {
-        return crate::theory::decide_pair_with_theory(
-            theory.as_ref(),
-            schema,
-            q1,
-            q2,
-            strategy,
-            cfg,
-            collect,
-        );
-    }
-    decide_plain(schema, q1, q2, strategy, cfg, collect)
+    let [p1, p2] = one_shot(schema, [q1, q2]);
+    Engine::serial().equivalent(&p1, &p2)
 }
 
 /// The theory-free terminal decision: satisfiability screens on both
-/// sides, then the Theorem 3.1 branch enumeration. This is the body every
-/// decision ran through before theories existed; [`decide_with`] still
-/// bottoms out here (directly, or per compiled branch via
-/// [`crate::theory::decide_pair_with_theory`]).
+/// sides, then the Theorem 3.1 branch enumeration over raw queries. The
+/// theory path decides each compiled branch through it
+/// ([`crate::theory::decide_pair_with_theory`]); the [`Engine`] reaches
+/// [`decide_sides`] over memoized handles instead.
 pub(crate) fn decide_plain(
     schema: &Schema,
     q1: &Query,
@@ -239,9 +154,9 @@ pub(crate) fn decide_plain(
 /// Run the Theorem 3.1 branch enumeration over pre-derived sides: both
 /// queries stripped and known satisfiable, terminal classes resolved, and
 /// the left side's shared branch state ([`BranchBase`]) already built —
-/// either just above ([`decide_with`]) or memoized on a
-/// [`PreparedQuery`](crate::PreparedQuery). This is the single implementation
-/// both the free functions and the [`Engine`](crate::Engine) bottom out in.
+/// either by [`decide_plain`] or memoized on a
+/// [`PreparedQuery`](crate::PreparedQuery). Every terminal decision bottoms
+/// out here.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn decide_sides(
     schema: &Schema,
@@ -299,43 +214,8 @@ pub(crate) fn decide_sides(
 /// queries is pairwise: `M ⊆ N` iff every satisfiable `Qᵢ` of `M` is
 /// contained in some `Pⱼ` of `N`.
 pub fn union_contains(schema: &Schema, m: &UnionQuery, n: &UnionQuery) -> Result<bool, CoreError> {
-    union_contains_with(schema, m, n, &EngineConfig::from_env())
-}
-
-/// [`union_contains`] under an explicit [`EngineConfig`]. The per-`Qᵢ`
-/// checks of Theorem 4.1 run in order and stop at the first uncovered
-/// subquery.
-pub fn union_contains_with(
-    schema: &Schema,
-    m: &UnionQuery,
-    n: &UnionQuery,
-    cfg: &EngineConfig,
-) -> Result<bool, CoreError> {
-    for q in m {
-        if !q.is_positive() {
-            return Err(CoreError::NotPositive);
-        }
-    }
-    for p in n {
-        if !p.is_positive() {
-            return Err(CoreError::NotPositive);
-        }
-    }
-    // Is every Qᵢ covered — unsatisfiable, or contained in some Pⱼ? The
-    // first uncovered Qᵢ refutes, however much budget the rest would need.
-    'subqueries: for q in m {
-        cfg.budget.charge(1)?;
-        if !is_sat(schema, q)? {
-            continue; // unsatisfiable subquery contributes nothing
-        }
-        for p in n {
-            if contains_terminal_with(schema, q, p, cfg)? {
-                continue 'subqueries;
-            }
-        }
-        return Ok(false);
-    }
-    Ok(true)
+    let ps = PreparedSchema::new(schema);
+    Engine::serial().union_contains(&ps.prepare_union(m), &ps.prepare_union(n))
 }
 
 /// `M ≡ N` for unions of terminal positive conjunctive queries.
@@ -351,39 +231,14 @@ pub fn union_equivalent(
 /// conjunctive queries: normalize, expand to terminal unions
 /// (Proposition 2.1), then apply Theorem 4.1.
 pub fn contains_positive(schema: &Schema, q1: &Query, q2: &Query) -> Result<bool, CoreError> {
-    contains_positive_with(schema, q1, q2, &EngineConfig::from_env())
-}
-
-/// [`contains_positive`] under an explicit [`EngineConfig`] (governing both
-/// the expansion filter and the pairwise union checks).
-pub fn contains_positive_with(
-    schema: &Schema,
-    q1: &Query,
-    q2: &Query,
-    cfg: &EngineConfig,
-) -> Result<bool, CoreError> {
-    if !q1.is_positive() || !q2.is_positive() {
-        return Err(CoreError::NotPositive);
-    }
-    if let Some(cache) = cfg.decision_cache() {
-        if let Some(hit) = cache.get_contains(schema, q1, q2) {
-            return Ok(hit);
-        }
-    }
-    let n1 = oocq_query::normalize(q1, schema)?;
-    let n2 = oocq_query::normalize(q2, schema)?;
-    let u1 = crate::expand::expand_satisfiable_with(schema, &n1, cfg)?;
-    let u2 = crate::expand::expand_satisfiable_with(schema, &n2, cfg)?;
-    let holds = union_contains_with(schema, &u1, &u2, cfg)?;
-    if let Some(cache) = cfg.decision_cache() {
-        cache.put_contains(schema, q1, q2, holds);
-    }
-    Ok(holds)
+    let [p1, p2] = one_shot(schema, [q1, q2]);
+    Engine::serial().contains_positive(&p1, &p2)
 }
 
 /// `q1 ≡ q2` for positive conjunctive queries.
 pub fn equivalent_positive(schema: &Schema, q1: &Query, q2: &Query) -> Result<bool, CoreError> {
-    Ok(contains_positive(schema, q1, q2)? && contains_positive(schema, q2, q1)?)
+    let [p1, p2] = one_shot(schema, [q1, q2]);
+    Engine::serial().equivalent_positive(&p1, &p2)
 }
 
 /// Containment dispatch across query shapes: §3 for terminal pairs, §4 for
@@ -391,45 +246,39 @@ pub fn equivalent_positive(schema: &Schema, q1: &Query, q2: &Query) -> Result<bo
 /// outside the fragment the paper proves decidable are rejected with
 /// [`CoreError::NotPositive`].
 pub fn dispatch_containment(schema: &Schema, qa: &Query, qb: &Query) -> Result<bool, CoreError> {
-    dispatch_containment_with(schema, qa, qb, &EngineConfig::from_env())
-}
-
-/// [`dispatch_containment`] under an explicit [`EngineConfig`].
-pub fn dispatch_containment_with(
-    schema: &Schema,
-    qa: &Query,
-    qb: &Query,
-    cfg: &EngineConfig,
-) -> Result<bool, CoreError> {
-    if qa.is_terminal(schema) && qb.is_terminal(schema) {
-        return contains_terminal_with(schema, qa, qb, cfg);
-    }
-    if qa.is_positive() && qb.is_positive() {
-        return contains_positive_with(schema, qa, qb, cfg);
-    }
-    if qb.is_terminal(schema) {
-        let ua = crate::expand::expand_satisfiable_with(
-            schema,
-            &oocq_query::normalize(qa, schema)?,
-            cfg,
-        )?;
-        for sub in &ua {
-            if !contains_terminal_with(schema, sub, qb, cfg)? {
-                return Ok(false);
-            }
-        }
-        return Ok(true);
-    }
-    // Outside the decidable fragment the paper establishes.
-    Err(CoreError::NotPositive)
+    let [pa, pb] = one_shot(schema, [qa, qb]);
+    Engine::serial().dispatch(&pa, &pb)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PreparedQuery;
     use oocq_query::QueryBuilder;
     use oocq_schema::samples;
     use std::time::Duration;
+
+    /// `q1 ⊆ q2` over fresh handles, on an engine with `cfg`.
+    fn contains_under(
+        s: &Schema,
+        q1: &Query,
+        q2: &Query,
+        cfg: &EngineConfig,
+    ) -> Result<bool, CoreError> {
+        let [p1, p2] = one_shot(s, [q1, q2]);
+        Engine::new(cfg.clone()).contains(&p1, &p2)
+    }
+
+    /// `q1 ≡ q2` over fresh handles, on an engine with `cfg`.
+    fn equivalent_under(
+        s: &Schema,
+        q1: &Query,
+        q2: &Query,
+        cfg: &EngineConfig,
+    ) -> Result<bool, CoreError> {
+        let [p1, p2] = one_shot(s, [q1, q2]);
+        Engine::new(cfg.clone()).equivalent(&p1, &p2)
+    }
 
     #[test]
     fn example_31_containment_both_directions() {
@@ -726,7 +575,7 @@ mod tests {
         assert_eq!(strategy_for(&q2), Strategy::InequalityFree);
         let tiny = EngineConfig::serial().with_budget(crate::Budget::with_limit(100));
         assert!(matches!(
-            contains_terminal_with(&s, &q1, &q2, &tiny),
+            contains_under(&s, &q1, &q2, &tiny),
             Err(CoreError::Timeout {
                 deadline: false,
                 ..
@@ -735,7 +584,7 @@ mod tests {
         // The trip is scoped to that budget: a fresh config decides fine —
         // and the containment genuinely holds, so the full 2^12 walk was
         // the only way there.
-        assert!(contains_terminal_with(&s, &q1, &q2, &EngineConfig::serial()).unwrap());
+        assert!(contains_under(&s, &q1, &q2, &EngineConfig::serial()).unwrap());
     }
 
     #[test]
@@ -744,7 +593,7 @@ mod tests {
         let (q1, q2) = explosion_pair(&s, 12);
         let budgeted = |budget| EngineConfig::serial().with_budget(budget);
         assert!(matches!(
-            contains_terminal_with(&s, &q1, &q2, &budgeted(crate::Budget::with_limit(100))),
+            contains_under(&s, &q1, &q2, &budgeted(crate::Budget::with_limit(100))),
             Err(CoreError::Timeout {
                 deadline: false,
                 ..
@@ -752,12 +601,12 @@ mod tests {
         ));
         // A generous budget changes nothing about the decision.
         let generous = budgeted(crate::Budget::with_limit(1 << 20));
-        assert!(contains_terminal_with(&s, &q1, &q2, &generous).unwrap());
+        assert!(contains_under(&s, &q1, &q2, &generous).unwrap());
         // Reversed, containment fails at an early branch: the refutation is
         // reached within the tight budget and is conclusive, so it is
         // returned rather than a timeout.
         let tight = budgeted(crate::Budget::with_limit(100));
-        assert!(!contains_terminal_with(&s, &q2, &q1, &tight).unwrap());
+        assert!(!contains_under(&s, &q2, &q1, &tight).unwrap());
     }
 
     #[test]
@@ -766,7 +615,7 @@ mod tests {
         let (q1, q2) = explosion_pair(&s, 12);
         let cfg = EngineConfig::serial().with_budget(crate::Budget::with_deadline(Duration::ZERO));
         assert!(matches!(
-            contains_terminal_with(&s, &q1, &q2, &cfg),
+            contains_under(&s, &q1, &q2, &cfg),
             Err(CoreError::Timeout { deadline: true, .. })
         ));
     }
@@ -832,101 +681,50 @@ mod tests {
             (&q3, &q1),
         ] {
             assert_eq!(
-                equivalent_terminal_with(&s, x, y, &on).unwrap(),
-                equivalent_terminal_with(&s, x, y, &off).unwrap(),
+                equivalent_under(&s, x, y, &on).unwrap(),
+                equivalent_under(&s, x, y, &off).unwrap(),
             );
         }
         // q1 ≡ q2 holds despite non-isomorphism; q1 ≢ q3.
-        assert!(equivalent_terminal_with(&s, &q1, &q2, &on).unwrap());
-        assert!(!equivalent_terminal_with(&s, &q1, &q3, &on).unwrap());
+        assert!(equivalent_under(&s, &q1, &q2, &on).unwrap());
+        assert!(!equivalent_under(&s, &q1, &q3, &on).unwrap());
     }
 
-    /// A fake cache that counts traffic and remembers puts verbatim —
-    /// enough to observe the entry points consulting and feeding it. Raw
-    /// (`get_contains`/`put_contains`) and prepared traffic are counted
-    /// apart, so a test can pin which path an entry point keys through.
+    /// A fake cache that counts traffic and remembers puts by canonical
+    /// form — enough to observe the engine consulting and feeding it.
+    #[derive(Default)]
     struct CountingCache {
-        store: std::sync::Mutex<std::collections::HashMap<(String, String), bool>>,
-        gets: std::sync::atomic::AtomicUsize,
-        hits: std::sync::atomic::AtomicUsize,
-        puts: std::sync::atomic::AtomicUsize,
-        prepared_store: std::sync::Mutex<
+        store: std::sync::Mutex<
             std::collections::HashMap<
                 (oocq_query::CanonicalQuery, oocq_query::CanonicalQuery),
                 bool,
             >,
         >,
-        prepared_gets: std::sync::atomic::AtomicUsize,
-        prepared_puts: std::sync::atomic::AtomicUsize,
-    }
-
-    impl CountingCache {
-        fn new() -> Self {
-            CountingCache {
-                store: std::sync::Mutex::new(std::collections::HashMap::new()),
-                gets: 0.into(),
-                hits: 0.into(),
-                puts: 0.into(),
-                prepared_store: std::sync::Mutex::new(std::collections::HashMap::new()),
-                prepared_gets: 0.into(),
-                prepared_puts: 0.into(),
-            }
-        }
-        fn key(schema: &Schema, q1: &Query, q2: &Query) -> (String, String) {
-            (
-                q1.display(schema).to_string(),
-                q2.display(schema).to_string(),
-            )
-        }
+        gets: std::sync::atomic::AtomicUsize,
+        hits: std::sync::atomic::AtomicUsize,
+        puts: std::sync::atomic::AtomicUsize,
     }
 
     impl crate::DecisionCache for CountingCache {
-        fn get_contains(&self, schema: &Schema, q1: &Query, q2: &Query) -> Option<bool> {
+        fn get_contains_prepared(&self, p1: &PreparedQuery, p2: &PreparedQuery) -> Option<bool> {
             use std::sync::atomic::Ordering::Relaxed;
             self.gets.fetch_add(1, Relaxed);
-            let hit = self
-                .store
-                .lock()
-                .unwrap()
-                .get(&Self::key(schema, q1, q2))
-                .copied();
+            let key = (p1.canonical_form().clone(), p2.canonical_form().clone());
+            let hit = self.store.lock().unwrap().get(&key).copied();
             if hit.is_some() {
                 self.hits.fetch_add(1, Relaxed);
             }
             hit
         }
-        fn put_contains(&self, schema: &Schema, q1: &Query, q2: &Query, holds: bool) {
+        fn put_contains_prepared(&self, p1: &PreparedQuery, p2: &PreparedQuery, holds: bool) {
             self.puts.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.store
-                .lock()
-                .unwrap()
-                .insert(Self::key(schema, q1, q2), holds);
+            let key = (p1.canonical_form().clone(), p2.canonical_form().clone());
+            self.store.lock().unwrap().insert(key, holds);
         }
-        fn get_minimized(&self, _schema: &Schema, _q: &Query) -> Option<oocq_query::UnionQuery> {
+        fn get_minimized_prepared(&self, _p: &PreparedQuery) -> Option<UnionQuery> {
             None
         }
-        fn put_minimized(&self, _schema: &Schema, _q: &Query, _result: &oocq_query::UnionQuery) {}
-        fn get_contains_prepared(
-            &self,
-            p1: &crate::PreparedQuery,
-            p2: &crate::PreparedQuery,
-        ) -> Option<bool> {
-            self.prepared_gets
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let key = (p1.canonical_form().clone(), p2.canonical_form().clone());
-            self.prepared_store.lock().unwrap().get(&key).copied()
-        }
-        fn put_contains_prepared(
-            &self,
-            p1: &crate::PreparedQuery,
-            p2: &crate::PreparedQuery,
-            holds: bool,
-        ) {
-            self.prepared_puts
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let key = (p1.canonical_form().clone(), p2.canonical_form().clone());
-            self.prepared_store.lock().unwrap().insert(key, holds);
-        }
+        fn put_minimized_prepared(&self, _p: &PreparedQuery, _result: &UnionQuery) {}
     }
 
     #[test]
@@ -934,17 +732,17 @@ mod tests {
         use std::sync::atomic::Ordering::Relaxed;
         let s = samples::single_class();
         let (q1, q2) = example_32_query(&s, false);
-        let cache = std::sync::Arc::new(CountingCache::new());
+        let cache = std::sync::Arc::new(CountingCache::default());
         let cached = EngineConfig::serial().with_cache(cache.clone());
         let plain = EngineConfig::serial();
 
-        let cold = contains_terminal_with(&s, &q1, &q2, &cached).unwrap();
+        let cold = contains_under(&s, &q1, &q2, &cached).unwrap();
         assert_eq!(cache.hits.load(Relaxed), 0);
         assert_eq!(cache.puts.load(Relaxed), 1);
-        let warm = contains_terminal_with(&s, &q1, &q2, &cached).unwrap();
+        let warm = contains_under(&s, &q1, &q2, &cached).unwrap();
         assert_eq!(cache.hits.load(Relaxed), 1);
         assert_eq!(cache.puts.load(Relaxed), 1, "hits are not re-put");
-        let uncached = contains_terminal_with(&s, &q1, &q2, &plain).unwrap();
+        let uncached = contains_under(&s, &q1, &q2, &plain).unwrap();
         assert_eq!(cold, warm);
         assert_eq!(cold, uncached, "cache-on equals cache-off");
     }
@@ -969,15 +767,13 @@ mod tests {
         }
     }
 
-    /// The Engine's §4 sweeps key every branch pair through the prepared
-    /// cache methods — never the raw ones — and a cached engine decides
-    /// exactly what a cacheless serial one does.
+    /// The Engine's §4 sweeps feed and consult the decision cache, and a
+    /// cached engine decides exactly what a cacheless serial one does.
     #[test]
-    fn engine_sweeps_never_key_the_cache_through_the_raw_path() {
-        use crate::{Engine, PreparedQuery, PreparedSchema};
+    fn cached_engine_sweeps_decide_like_a_cacheless_engine() {
         use oocq_gen::{random_positive, random_terminal_positive, QueryParams, Rng, StdRng};
         use std::sync::atomic::Ordering::Relaxed;
-        let cache = std::sync::Arc::new(CountingCache::new());
+        let cache = std::sync::Arc::new(CountingCache::default());
         let cached = Engine::serial().with_cache(cache.clone());
         let plain = Engine::serial();
         for seed in 0..48u64 {
@@ -1010,10 +806,8 @@ mod tests {
             };
             assert_eq!(pair(&cached), pair(&plain), "seed {seed}");
         }
-        assert_eq!(cache.gets.load(Relaxed), 0, "raw get_contains was called");
-        assert_eq!(cache.puts.load(Relaxed), 0, "raw put_contains was called");
-        assert!(cache.prepared_gets.load(Relaxed) > 0);
-        assert!(cache.prepared_puts.load(Relaxed) > 0);
+        assert!(cache.gets.load(Relaxed) > 0);
+        assert!(cache.puts.load(Relaxed) > 0);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! `QueryAnalysis` (Algorithm *EqualityGraph* closure), per-variable
 //! terminal classes (`var_classes`), the satisfiability verdict of
 //! Theorem 2.2, the derivability indexes of the mapping search, and the
-//! canonical form used for cache keying. The free functions re-derive them
-//! on every call; a repeated-decision workload (the service's norm) pays
-//! that cost once per *request* instead of once per *query*.
+//! canonical form used for cache keying. Reusing handles, a
+//! repeated-decision workload (the service's norm) pays that cost once per
+//! *query* instead of once per *decision*.
 //!
 //! This module is the prepared-statement analogue: a [`PreparedSchema`]
 //! derives the schema-level closure eagerly and shares it via `Arc`, a
@@ -15,10 +15,12 @@
 //! [`OnceLock`] (an artifact a workload never touches is never built), and
 //! an [`Engine`] owns the [`EngineConfig`] (decision cache, budget,
 //! isomorphism fast path) and exposes the decision procedures as inherent
-//! methods over prepared values. The free `*_with` functions remain as
-//! convenience wrappers that prepare internally per call; both layers share
-//! one implementation, so verdicts are identical by construction (the
-//! differential seed-sweep in `tests/properties.rs` checks this).
+//! methods over prepared values. The [`Engine`] is the only decision
+//! implementation: the one-shot free functions
+//! ([`contains_terminal`](crate::contains_terminal) and friends) build
+//! fresh handles and call one [`Engine::serial`] method, so reused handles
+//! and fresh ones decide identically by construction (the warm-vs-cold
+//! seed sweep in `tests/properties.rs` checks this).
 //!
 //! What is derived when:
 //!
@@ -42,9 +44,13 @@ use crate::budget::Budget;
 use crate::containment::{decide_sides, strategy_for, Strategy};
 use crate::error::CoreError;
 use crate::explain::Containment;
-use crate::minimize::{fold_survivors, redundancy_flags};
+use crate::minimize::{
+    fold_survivors, minimize_terminal_positive, redundancy_flags, MinimizationReport,
+};
 use crate::satisfiability::{self, strip_non_range, var_classes, Satisfiability};
-use oocq_query::{canonical_form_budgeted, CanonicalQuery, Query, QueryAnalysis, UnionQuery};
+use oocq_query::{
+    canonical_form_budgeted, normalize, CanonicalQuery, Query, QueryAnalysis, UnionQuery,
+};
 use oocq_schema::{ClassId, Schema};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -135,6 +141,23 @@ impl PreparedSchema {
             }
         }
     }
+
+    /// One handle per member of a union, each bound to this schema.
+    pub(crate) fn prepare_union(&self, u: &UnionQuery) -> Vec<PreparedQuery> {
+        u.iter()
+            .map(|q| PreparedQuery::new(self, q.clone()))
+            .collect()
+    }
+}
+
+/// Fresh handles over one freshly prepared schema: how every one-shot free
+/// function enters the [`Engine`].
+pub(crate) fn one_shot<const N: usize>(
+    schema: &Schema,
+    queries: [&Query; N],
+) -> [PreparedQuery; N] {
+    let ps = PreparedSchema::new(schema);
+    queries.map(|q| PreparedQuery::new(&ps, q.clone()))
 }
 
 impl std::fmt::Debug for PreparedSchema {
@@ -459,11 +482,12 @@ impl std::fmt::Debug for PreparedQuery {
 /// handles, so each branch's cache key is labeled once per call and under
 /// the request budget.
 ///
-/// Contract: every method decides exactly what the corresponding free
-/// function decides — the prepared layer changes *when artifacts are built*,
-/// never *what is decided* — and both prepared queries must have been
-/// prepared against the schema the decision should run under (the left
-/// operand's schema is used).
+/// This is the only decision implementation: each one-shot free function
+/// is a wrapper that prepares fresh handles and calls one method of
+/// [`Engine::serial`]. Reusing handles changes *when artifacts are built*,
+/// never *what is decided*. Every prepared query must have been prepared
+/// against the schema the decision should run under (the left operand's
+/// schema is used).
 #[derive(Debug, Default)]
 pub struct Engine {
     cfg: EngineConfig,
@@ -742,11 +766,110 @@ impl Engine {
         Ok(result)
     }
 
+    /// [`Engine::minimize`] with a full trace of the §4 pipeline: what was
+    /// expanded, which branches died and why, what was dropped as redundant,
+    /// and which subqueries folded. The trace is never cached (it is a
+    /// rendering artifact), but its redundancy checks go through
+    /// [`Engine::contains`].
+    pub fn minimize_report(&self, p: &PreparedQuery) -> Result<MinimizationReport, CoreError> {
+        if !p.query().is_positive() {
+            return Err(CoreError::NotPositive);
+        }
+        let schema = p.schema().schema();
+        let normalized = normalize(p.query(), schema)?;
+        let expanded_union = crate::expand::expand(schema, &normalized)?;
+        let mut unsatisfiable = Vec::new();
+        let mut survivors = Vec::new();
+        for sub in &expanded_union {
+            match satisfiability::satisfiability(schema, sub)? {
+                Satisfiability::Satisfiable => {
+                    survivors.push(PreparedQuery::new(p.schema(), strip_non_range(sub)))
+                }
+                Satisfiability::Unsatisfiable(reason) => unsatisfiable.push((sub.clone(), reason)),
+            }
+        }
+        let refs: Vec<&Query> = survivors.iter().map(PreparedQuery::query).collect();
+        let dropped = redundancy_flags(&refs, &self.cfg, |i, j| {
+            self.contains(&survivors[i], &survivors[j])
+        })?;
+        let mut redundant = Vec::new();
+        let mut folds = Vec::new();
+        let mut result = UnionQuery::empty();
+        for (sub, dropped) in refs.into_iter().zip(dropped) {
+            if dropped {
+                redundant.push(sub.clone());
+                continue;
+            }
+            let m = minimize_terminal_positive(schema, sub)?;
+            if m.var_count() < sub.var_count() {
+                folds.push((sub.clone(), m.clone()));
+            }
+            result.push(m);
+        }
+        Ok(MinimizationReport {
+            normalized,
+            expanded: expanded_union.len(),
+            unsatisfiable,
+            redundant,
+            folds,
+            result,
+        })
+    }
+
+    /// Theorem 4.1: containment of unions of terminal **positive**
+    /// conjunctive queries is pairwise — `M ⊆ N` iff every satisfiable `Qᵢ`
+    /// of `M` is contained in some `Pⱼ` of `N`. Stops at the first
+    /// uncovered subquery.
+    pub fn union_contains(
+        &self,
+        m: &[PreparedQuery],
+        n: &[PreparedQuery],
+    ) -> Result<bool, CoreError> {
+        if m.iter().chain(n).any(|p| !p.query().is_positive()) {
+            return Err(CoreError::NotPositive);
+        }
+        for q in m {
+            // An unsatisfiable subquery contributes nothing.
+            if q.is_satisfiable()? && !self.covered(q, n)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Theorem 4.2: remove redundant subqueries from a union of terminal
+    /// positive conjunctive queries. Unsatisfiable subqueries are dropped,
+    /// then any `Qᵢ` contained in a retained `Qⱼ` (`j ≠ i`), keeping the
+    /// first representative of each equivalence group.
+    pub fn nonredundant_union(&self, u: &[PreparedQuery]) -> Result<UnionQuery, CoreError> {
+        let mut sat = Vec::new();
+        for p in u {
+            if p.is_satisfiable()? {
+                sat.push(p);
+            }
+        }
+        let queries: Vec<&Query> = sat.iter().map(|p| p.query()).collect();
+        let dropped = redundancy_flags(&queries, &self.cfg, |i, j| self.contains(sat[i], sat[j]))?;
+        Ok(queries
+            .into_iter()
+            .zip(dropped)
+            .filter(|(_, d)| !d)
+            .map(|(q, _)| q.clone())
+            .collect())
+    }
+
+    /// Variable minimization of one general (not necessarily positive)
+    /// terminal conjunctive query: every fold is verified by
+    /// [`Engine::equivalent`] (see [`crate::minimize_terminal_general`]).
+    pub fn minimize_terminal_general(&self, p: &PreparedQuery) -> Result<Query, CoreError> {
+        crate::general::fold_verified(self, p)
+    }
+
     /// Variable minimization for general (not necessarily positive)
-    /// terminal conjunctive queries (§4 closing remarks), under this
-    /// engine's configuration.
+    /// conjunctive queries (§4 closing remarks), deciding every
+    /// containment and equivalence through this engine.
     pub fn minimize_general(&self, p: &PreparedQuery) -> Result<UnionQuery, CoreError> {
-        crate::general::minimize_general_with(p.schema().schema(), p.query(), &self.cfg)
+        crate::general::minimize_union(self, p)
     }
 }
 

@@ -7,7 +7,7 @@
 //! one terminal descendant of its range disjunction.
 
 use crate::branch::EngineConfig;
-use crate::engine::PreparedSchema;
+use crate::engine::{one_shot, Engine, PreparedSchema};
 use crate::error::CoreError;
 use crate::satisfiability::{self, Satisfiability};
 use oocq_query::{Atom, Query, QueryAnalysis, QueryBuilder, UnionQuery};
@@ -144,25 +144,15 @@ pub fn expand(schema: &Schema, q: &Query) -> Result<UnionQuery, CoreError> {
 
 /// Expand and keep only the satisfiable subqueries, with their non-range
 /// atoms stripped (§2.5). This is the first stage of the §4 minimization
-/// pipeline.
+/// pipeline. The surviving subqueries keep their expansion order.
 pub fn expand_satisfiable(schema: &Schema, q: &Query) -> Result<UnionQuery, CoreError> {
-    expand_satisfiable_with(schema, q, &EngineConfig::from_env())
+    let [p] = one_shot(schema, [q]);
+    Engine::serial().expand_satisfiable(&p)
 }
 
-/// [`expand_satisfiable`] under an explicit [`EngineConfig`], whose budget
-/// the odometer and the per-subquery satisfiability checks charge. The
-/// surviving subqueries keep their expansion order.
-pub fn expand_satisfiable_with(
-    schema: &Schema,
-    q: &Query,
-    cfg: &EngineConfig,
-) -> Result<UnionQuery, CoreError> {
-    let analysis = QueryAnalysis::of(q);
-    expand_satisfiable_inner(schema, q, cfg, None, &analysis)
-}
-
-/// The shared implementation behind [`expand_satisfiable_with`] and the
-/// prepared-query expansion memo.
+/// The satisfiable expansion, charging `cfg`'s budget in the odometer and
+/// the per-subquery satisfiability checks. Shared by the prepared-query
+/// expansion memo and the theory path's compiled left queries.
 ///
 /// Two per-subquery rebuilds of the naive pipeline are hoisted out:
 ///

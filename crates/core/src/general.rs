@@ -18,9 +18,8 @@
 //! stays open — an unverified fold can be incorrect for general queries,
 //! and a correct one can be missed).
 
-use crate::branch::EngineConfig;
-use crate::containment::{contains_terminal_with, equivalent_terminal_with};
 use crate::derive::{find_mapping, MappingGoal, TargetData};
+use crate::engine::{one_shot, Engine, PreparedQuery};
 use crate::error::CoreError;
 use crate::satisfiability::{is_satisfiable, strip_non_range, var_classes};
 use oocq_query::{normalize, Query, UnionQuery};
@@ -32,23 +31,23 @@ use oocq_schema::Schema;
 /// ways). Sound for any terminal conjunctive query; exact (per Cor. 4.4)
 /// when the query happens to be positive.
 pub fn minimize_terminal_general(schema: &Schema, q: &Query) -> Result<Query, CoreError> {
-    minimize_terminal_general_with(schema, q, &EngineConfig::from_env())
+    let [p] = one_shot(schema, [q]);
+    Engine::serial().minimize_terminal_general(&p)
 }
 
-/// [`minimize_terminal_general`] under an explicit [`EngineConfig`]
-/// (governing the verification equivalence checks).
-pub fn minimize_terminal_general_with(
-    schema: &Schema,
-    q: &Query,
-    cfg: &EngineConfig,
-) -> Result<Query, CoreError> {
-    let mut cur = strip_non_range(q);
+/// [`minimize_terminal_general`] over a handle, verifying every fold
+/// through `engine` ([`Engine::minimize_terminal_general`]).
+pub(crate) fn fold_verified(engine: &Engine, p: &PreparedQuery) -> Result<Query, CoreError> {
+    let schema = p.schema().schema();
+    let handle = |q: &Query| PreparedQuery::new(p.schema(), q.clone());
+    let mut cur = strip_non_range(p.query());
     if !is_satisfiable(schema, &cur)? {
         return Ok(cur);
     }
     'outer: loop {
         let classes = var_classes(schema, &cur)?;
         let free = cur.free_var();
+        let pcur = handle(&cur);
         let data = TargetData::new(schema, cur.clone())?;
         let ctx = data.ctx(schema);
         for drop in cur.vars() {
@@ -61,7 +60,7 @@ pub fn minimize_terminal_general_with(
             if let Some(map) = find_mapping(&ctx, &goal) {
                 let folded = cur.apply_mapping(&map);
                 // Theorem 4.3 covers only positive queries; verify the fold.
-                if cur.is_positive() || equivalent_terminal_with(schema, &cur, &folded, cfg)? {
+                if cur.is_positive() || engine.equivalent(&pcur, &handle(&folded))? {
                     cur = folded;
                     continue 'outer;
                 }
@@ -80,22 +79,20 @@ pub fn minimize_terminal_general_with(
 /// Always equivalent to the input; optimality is **not** guaranteed for
 /// inputs with negative atoms (see the module docs).
 pub fn minimize_general(schema: &Schema, q: &Query) -> Result<UnionQuery, CoreError> {
-    minimize_general_with(schema, q, &EngineConfig::from_env())
+    let [p] = one_shot(schema, [q]);
+    Engine::serial().minimize_general(&p)
 }
 
-/// [`minimize_general`] under an explicit [`EngineConfig`] (governing every
-/// containment and equivalence check in the pipeline).
-pub fn minimize_general_with(
-    schema: &Schema,
-    q: &Query,
-    cfg: &EngineConfig,
-) -> Result<UnionQuery, CoreError> {
-    let normalized = normalize(q, schema)?;
+/// [`minimize_general`] over a handle, deciding every containment and
+/// equivalence through `engine` ([`Engine::minimize_general`]).
+pub(crate) fn minimize_union(engine: &Engine, p: &PreparedQuery) -> Result<UnionQuery, CoreError> {
+    let schema = p.schema().schema();
+    let normalized = normalize(p.query(), schema)?;
     let expanded = crate::expand::expand(schema, &normalized)?;
-    let mut survivors: Vec<Query> = Vec::new();
+    let mut survivors: Vec<PreparedQuery> = Vec::new();
     for sub in &expanded {
         if is_satisfiable(schema, sub)? {
-            survivors.push(strip_non_range(sub));
+            survivors.push(PreparedQuery::new(p.schema(), strip_non_range(sub)));
         }
     }
     // Pairwise redundancy removal: dropping Qᵢ with Qᵢ ⊆ Qⱼ (j retained) is
@@ -110,8 +107,8 @@ pub fn minimize_general_with(
             if i == j || dropped[j] {
                 continue;
             }
-            if contains_terminal_with(schema, &survivors[i], &survivors[j], cfg)? {
-                if contains_terminal_with(schema, &survivors[j], &survivors[i], cfg)? {
+            if engine.contains(&survivors[i], &survivors[j])? {
+                if engine.contains(&survivors[j], &survivors[i])? {
                     if j < i {
                         dropped[i] = true;
                         break;
@@ -124,9 +121,9 @@ pub fn minimize_general_with(
         }
     }
     let mut out = UnionQuery::empty();
-    for (i, sub) in survivors.into_iter().enumerate() {
+    for (i, sub) in survivors.iter().enumerate() {
         if !dropped[i] {
-            out.push(minimize_terminal_general_with(schema, &sub, cfg)?);
+            out.push(fold_verified(engine, sub)?);
         }
     }
     Ok(out)

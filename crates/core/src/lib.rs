@@ -14,12 +14,14 @@
 //! * exact, search-space-optimal minimization of positive conjunctive
 //!   queries (Theorems 4.2–4.5, [`minimize_positive`]).
 //!
-//! Repeated-decision workloads should go through the prepared layer —
+//! Every decision goes through one implementation, the prepared layer —
 //! [`Engine`], [`PreparedSchema`], [`PreparedQuery`] — which derives each
 //! decision artifact (analysis, terminal classes, satisfiability, canonical
 //! form, branch indexes, expansion) at most once per query and shares it
-//! across every subsequent decision. The free functions remain as
-//! convenience wrappers that prepare internally per call.
+//! across every subsequent decision on the same handles. Budgets, decision
+//! caches and theories are configured on the [`Engine`]. The free
+//! functions are one-shot wrappers: each prepares fresh handles and calls
+//! one [`Engine::serial`] method.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +37,6 @@ mod expand;
 mod explain;
 mod general;
 mod minimize;
-mod optimizer;
 mod satisfiability;
 mod theory;
 
@@ -43,28 +44,21 @@ pub use branch::{BranchStats, EngineConfig, MAX_BRANCHES};
 pub use budget::Budget;
 pub use cache::DecisionCache;
 pub use containment::{
-    contains_positive, contains_positive_with, contains_terminal, contains_terminal_full,
-    contains_terminal_full_with, contains_terminal_with, decide_containment,
-    decide_containment_with, dispatch_containment, dispatch_containment_with, equivalent_positive,
-    equivalent_terminal, equivalent_terminal_with, strategy_for, union_contains,
-    union_contains_with, union_equivalent, Strategy,
+    contains_positive, contains_terminal, contains_terminal_full, decide_containment,
+    dispatch_containment, equivalent_positive, equivalent_terminal, strategy_for, union_contains,
+    union_equivalent, Strategy,
 };
 pub use derive::SearchOrder;
 pub use engine::{Engine, PreparedQuery, PreparedQueryStats, PreparedSchema};
 pub use error::CoreError;
-pub use expand::{expand, expand_satisfiable, expand_satisfiable_with, expansion_size};
+pub use expand::{expand, expand_satisfiable, expansion_size};
 pub use explain::{Containment, MappingWitness};
-pub use general::{
-    minimize_general, minimize_general_with, minimize_terminal_general,
-    minimize_terminal_general_with,
-};
+pub use general::{minimize_general, minimize_terminal_general};
 pub use minimize::{
     cost_leq, is_minimal_terminal_positive, minimize_positive, minimize_positive_report,
-    minimize_positive_report_with, minimize_positive_with, minimize_terminal_positive,
-    nonredundant_union, nonredundant_union_with, search_space_cost, term_class, union_cost,
+    minimize_terminal_positive, nonredundant_union, search_space_cost, term_class, union_cost,
     MinimizationReport,
 };
-pub use optimizer::{Optimizer, OptimizerStats};
 pub use satisfiability::{
     is_satisfiable, satisfiability, strip_non_range, var_classes, Satisfiability, UnsatReason,
 };

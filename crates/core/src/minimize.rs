@@ -20,12 +20,11 @@
 //! variables `x` — the objects the query logically accesses.
 
 use crate::branch::EngineConfig;
-use crate::containment::contains_terminal_with;
 use crate::derive::{find_mapping, MappingGoal, TargetData};
+use crate::engine::{one_shot, Engine, PreparedSchema};
 use crate::error::CoreError;
-use crate::expand::expand_satisfiable_with;
 use crate::satisfiability::{is_satisfiable, var_classes};
-use oocq_query::{isomorphic, normalize, Atom, Query, UnionQuery};
+use oocq_query::{isomorphic, Atom, Query, UnionQuery};
 use oocq_schema::{ClassId, Schema};
 use std::collections::BTreeMap;
 
@@ -79,40 +78,14 @@ pub fn cost_leq(a: &BTreeMap<ClassId, usize>, b: &BTreeMap<ClassId, usize>) -> b
 /// a retained `Qⱼ` (`j ≠ i`) is dropped, keeping the first representative of
 /// each equivalence group.
 pub fn nonredundant_union(schema: &Schema, u: &UnionQuery) -> Result<UnionQuery, CoreError> {
-    nonredundant_union_with(schema, u, &EngineConfig::from_env())
-}
-
-/// [`nonredundant_union`] under an explicit [`EngineConfig`] (governing the
-/// pairwise containment checks: budget, decision cache, and the
-/// isomorphism fast path).
-pub fn nonredundant_union_with(
-    schema: &Schema,
-    u: &UnionQuery,
-    cfg: &EngineConfig,
-) -> Result<UnionQuery, CoreError> {
-    let sat: Vec<&Query> = u
-        .iter()
-        .map(|q| Ok::<_, CoreError>((q, is_satisfiable(schema, q)?)))
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .filter_map(|(q, s)| s.then_some(q))
-        .collect();
-    let dropped = redundancy_flags(&sat, cfg, |i, j| {
-        contains_terminal_with(schema, sat[i], sat[j], cfg)
-    })?;
-    Ok(sat
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| !dropped[*i])
-        .map(|(_, q)| q.clone())
-        .collect())
+    Engine::serial().nonredundant_union(&PreparedSchema::new(schema).prepare_union(u))
 }
 
 /// For a slice of satisfiable terminal positive queries: which are redundant
 /// (contained in a retained other)? Equivalent groups keep their first
-/// member. `contains(i, j)` decides `sat[i] ⊆ sat[j]`; the free functions
-/// pass the raw terminal check, [`Engine::minimize`](crate::Engine) a check
-/// over prepared branch handles, so both share this one sweep.
+/// member. `contains(i, j)` decides `sat[i] ⊆ sat[j]`: the [`Engine`]'s
+/// minimization, report and nonredundant-union sweeps each pass
+/// [`Engine::contains`] over their own handles and share this one sweep.
 pub(crate) fn redundancy_flags(
     sat: &[&Query],
     cfg: &EngineConfig,
@@ -260,7 +233,7 @@ pub fn is_minimal_terminal_positive(schema: &Schema, q: &Query) -> Result<bool, 
 }
 
 /// A full trace of the §4 pipeline produced by
-/// [`minimize_positive_report`]: what was expanded, which branches died and
+/// [`Engine::minimize_report`]: what was expanded, which branches died and
 /// why, what was dropped as redundant, and which subqueries folded.
 #[derive(Clone, Debug)]
 pub struct MinimizationReport {
@@ -317,65 +290,8 @@ pub fn minimize_positive_report(
     schema: &Schema,
     q: &Query,
 ) -> Result<MinimizationReport, CoreError> {
-    minimize_positive_report_with(schema, q, &EngineConfig::from_env())
-}
-
-/// [`minimize_positive_report`] under an explicit [`EngineConfig`]. The
-/// trace itself is never cached (it is a rendering artifact, cheap relative
-/// to its size), but the redundancy checks it runs honour the
-/// configuration's cache and fast path.
-pub fn minimize_positive_report_with(
-    schema: &Schema,
-    q: &Query,
-    cfg: &EngineConfig,
-) -> Result<MinimizationReport, CoreError> {
-    use crate::satisfiability::{satisfiability, Satisfiability};
-    if !q.is_positive() {
-        return Err(CoreError::NotPositive);
-    }
-    let normalized = normalize(q, schema)?;
-    let expanded_union = crate::expand::expand(schema, &normalized)?;
-    let expanded = expanded_union.len();
-    let mut unsatisfiable = Vec::new();
-    let mut survivors: Vec<Query> = Vec::new();
-    for sub in &expanded_union {
-        match satisfiability(schema, sub)? {
-            Satisfiability::Satisfiable => {
-                survivors.push(crate::satisfiability::strip_non_range(sub))
-            }
-            Satisfiability::Unsatisfiable(reason) => unsatisfiable.push((sub.clone(), reason)),
-        }
-    }
-    let refs: Vec<&Query> = survivors.iter().collect();
-    let dropped = redundancy_flags(&refs, cfg, |i, j| {
-        contains_terminal_with(schema, refs[i], refs[j], cfg)
-    })?;
-    let mut redundant = Vec::new();
-    let mut kept: Vec<Query> = Vec::new();
-    for (i, sub) in survivors.iter().enumerate() {
-        if dropped[i] {
-            redundant.push(sub.clone());
-        } else {
-            kept.push(sub.clone());
-        }
-    }
-    let mut folds = Vec::new();
-    let mut result = UnionQuery::empty();
-    for sub in kept {
-        let m = minimize_terminal_positive(schema, &sub)?;
-        if m.var_count() < sub.var_count() {
-            folds.push((sub, m.clone()));
-        }
-        result.push(m);
-    }
-    Ok(MinimizationReport {
-        normalized,
-        expanded,
-        unsatisfiable,
-        redundant,
-        folds,
-        result,
-    })
+    let [p] = one_shot(schema, [q]);
+    Engine::serial().minimize_report(&p)
 }
 
 /// The full §4 pipeline: an exact, search-space-optimal minimization of a
@@ -408,45 +324,13 @@ pub fn minimize_positive_report_with(
 /// );
 /// ```
 pub fn minimize_positive(schema: &Schema, q: &Query) -> Result<UnionQuery, CoreError> {
-    minimize_positive_with(schema, q, &EngineConfig::from_env())
-}
-
-/// [`minimize_positive`] under an explicit [`EngineConfig`]. When
-/// `cfg.cache` is installed, the whole pipeline result is memoized per
-/// exact query — minimization output carries variable names, so the cache
-/// key must distinguish renamed inputs (see
-/// [`DecisionCache`](crate::DecisionCache)'s contract) — while the
-/// pairwise redundancy checks inside additionally benefit from the
-/// canonical containment entries.
-pub fn minimize_positive_with(
-    schema: &Schema,
-    q: &Query,
-    cfg: &EngineConfig,
-) -> Result<UnionQuery, CoreError> {
-    if !q.is_positive() {
-        return Err(CoreError::NotPositive);
-    }
-    if let Some(cache) = &cfg.cache {
-        if let Some(hit) = cache.get_minimized(schema, q) {
-            return Ok(hit);
-        }
-    }
-    let normalized = normalize(q, schema)?;
-    let expanded = expand_satisfiable_with(schema, &normalized, cfg)?;
-    let sat: Vec<&Query> = expanded.iter().collect();
-    let dropped = redundancy_flags(&sat, cfg, |i, j| {
-        contains_terminal_with(schema, sat[i], sat[j], cfg)
-    })?;
-    let result = fold_survivors(schema, &sat, &dropped, cfg)?;
-    if let Some(cache) = &cfg.cache {
-        cache.put_minimized(schema, q, &result);
-    }
-    Ok(result)
+    let [p] = one_shot(schema, [q]);
+    Engine::serial().minimize(&p)
 }
 
 /// The last §4 stage: fold the variables of every subquery
-/// [`redundancy_flags`] kept (Theorem 4.3), one budget unit each. Shared by
-/// [`minimize_positive_with`] and [`Engine::minimize`](crate::Engine).
+/// [`redundancy_flags`] kept (Theorem 4.3), one budget unit each, for
+/// [`Engine::minimize`].
 pub(crate) fn fold_survivors(
     schema: &Schema,
     sat: &[&Query],
@@ -639,10 +523,11 @@ mod tests {
             mk_simple("renamed"),
             mk_truck(),
         ]);
-        let on = crate::EngineConfig::serial();
-        let off = crate::EngineConfig::serial().without_iso_fast_path();
-        let nr_on = nonredundant_union_with(&s, &u, &on).unwrap();
-        let nr_off = nonredundant_union_with(&s, &u, &off).unwrap();
+        let handles = PreparedSchema::new(&s).prepare_union(&u);
+        let on = Engine::serial();
+        let off = Engine::new(EngineConfig::serial().without_iso_fast_path());
+        let nr_on = on.nonredundant_union(&handles).unwrap();
+        let nr_off = off.nonredundant_union(&handles).unwrap();
         assert_eq!(nr_on, nr_off);
         assert_eq!(nr_on.len(), 2); // simple("x") + truck survive
     }

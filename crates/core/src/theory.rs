@@ -53,10 +53,10 @@ use crate::branch::EngineConfig;
 use crate::budget::Budget;
 use crate::containment::{decide_plain, Strategy};
 use crate::error::CoreError;
-use crate::expand::expand_satisfiable_with;
+use crate::expand::expand_satisfiable_inner;
 use crate::explain::Containment;
 use crate::satisfiability::{self, Satisfiability, UnsatReason};
-use oocq_query::{Atom, Query, Term, VarId};
+use oocq_query::{Atom, Query, QueryAnalysis, Term, VarId};
 use oocq_schema::{Constraint, Schema};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -479,7 +479,7 @@ pub(crate) fn decide_pair_with_theory(
         }
         vec![q1c]
     } else {
-        let expanded = expand_satisfiable_with(schema, &q1c, cfg)?;
+        let expanded = expand_satisfiable_inner(schema, &q1c, cfg, None, &QueryAnalysis::of(&q1c))?;
         let mut alive = Vec::new();
         for b in expanded.queries() {
             // Branch filtering is a dead-range check only (Side::Right
@@ -522,13 +522,26 @@ pub(crate) fn decide_pair_with_theory(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::containment::{
-        contains_positive_with, decide_containment_with, dispatch_containment_with,
-    };
-    use crate::DecisionCache;
+    use crate::{DecisionCache, Engine, PreparedQuery, PreparedSchema};
     use oocq_query::{QueryBuilder, UnionQuery};
     use oocq_schema::SchemaBuilder;
     use std::sync::atomic::AtomicUsize;
+
+    /// `decide` over fresh handles of `q1` and `q2`, on an engine with `cfg`.
+    fn on_engine<T>(
+        s: &Schema,
+        q1: &Query,
+        q2: &Query,
+        cfg: &EngineConfig,
+        decide: impl Fn(&Engine, &PreparedQuery, &PreparedQuery) -> Result<T, CoreError>,
+    ) -> Result<T, CoreError> {
+        let ps = PreparedSchema::new(s);
+        let (p1, p2) = (
+            PreparedQuery::new(&ps, q1.clone()),
+            PreparedQuery::new(&ps, q2.clone()),
+        );
+        decide(&Engine::new(cfg.clone()), &p1, &p2)
+    }
 
     /// `class P {} class Q {} class B {} class T1 : B {} class T2 : B, P, Q {}`
     /// with `constraint disjoint P Q;` — the common descendant `T2` is dead.
@@ -599,10 +612,10 @@ mod tests {
         let cfg = EngineConfig::serial();
         let q1 = range_query(&plain, "B");
         let q2 = range_query(&plain, "T1");
-        assert!(!contains_positive_with(&plain, &q1, &q2, &cfg).unwrap());
-        assert!(!dispatch_containment_with(&plain, &q1, &q2, &cfg).unwrap());
-        assert!(contains_positive_with(&constrained, &q1, &q2, &cfg).unwrap());
-        assert!(dispatch_containment_with(&constrained, &q1, &q2, &cfg).unwrap());
+        assert!(!on_engine(&plain, &q1, &q2, &cfg, Engine::contains_positive).unwrap());
+        assert!(!on_engine(&plain, &q1, &q2, &cfg, Engine::dispatch).unwrap());
+        assert!(on_engine(&constrained, &q1, &q2, &cfg, Engine::contains_positive).unwrap());
+        assert!(on_engine(&constrained, &q1, &q2, &cfg, Engine::dispatch).unwrap());
     }
 
     #[test]
@@ -614,20 +627,20 @@ mod tests {
         let t1 = range_query(&plain, "T1");
         // Dead left: Holds -> HoldsVacuously.
         assert!(matches!(
-            decide_containment_with(&plain, &t2, &t2, &cfg).unwrap(),
+            on_engine(&plain, &t2, &t2, &cfg, Engine::decide).unwrap(),
             Containment::Holds(_)
         ));
         assert!(matches!(
-            decide_containment_with(&constrained, &t2, &t2, &cfg).unwrap(),
+            on_engine(&constrained, &t2, &t2, &cfg, Engine::decide).unwrap(),
             Containment::HoldsVacuously(UnsatReason::DeadRange { .. })
         ));
         // Dead right: Fails -> FailsRightUnsatisfiable.
         assert!(matches!(
-            decide_containment_with(&plain, &t1, &t2, &cfg).unwrap(),
+            on_engine(&plain, &t1, &t2, &cfg, Engine::decide).unwrap(),
             Containment::Fails { .. }
         ));
         assert!(matches!(
-            decide_containment_with(&constrained, &t1, &t2, &cfg).unwrap(),
+            on_engine(&constrained, &t1, &t2, &cfg, Engine::decide).unwrap(),
             Containment::FailsRightUnsatisfiable(UnsatReason::DeadRange { .. })
         ));
     }
@@ -650,10 +663,10 @@ mod tests {
         b.eq(Term::Attr(x, f), Term::Var(u));
         let q2 = b.build();
         assert!(matches!(
-            decide_containment_with(&plain, &q1, &q2, &cfg).unwrap(),
+            on_engine(&plain, &q1, &q2, &cfg, Engine::decide).unwrap(),
             Containment::Fails { .. }
         ));
-        let verdict = decide_containment_with(&constrained, &q1, &q2, &cfg).unwrap();
+        let verdict = on_engine(&constrained, &q1, &q2, &cfg, Engine::decide).unwrap();
         assert!(matches!(&verdict, Containment::Holds(ws) if !ws.is_empty()));
         // The witness maps u to the chase variable, which lives beyond
         // q1's variable space; rendering against the compiled left query
@@ -715,10 +728,10 @@ mod tests {
         let q2 = b.build();
 
         assert!(matches!(
-            decide_containment_with(&plain, &q1, &q2, &cfg).unwrap(),
+            on_engine(&plain, &q1, &q2, &cfg, Engine::decide).unwrap(),
             Containment::Fails { .. }
         ));
-        assert!(decide_containment_with(&constrained, &q1, &q2, &cfg)
+        assert!(on_engine(&constrained, &q1, &q2, &cfg, Engine::decide)
             .unwrap()
             .holds());
     }
@@ -731,7 +744,7 @@ mod tests {
         // With the identity theory installed, the constrained schema
         // decides exactly like the plain calculus.
         assert!(matches!(
-            decide_containment_with(&constrained, &t2, &t2, &cfg).unwrap(),
+            on_engine(&constrained, &t2, &t2, &cfg, Engine::decide).unwrap(),
             Containment::Holds(_)
         ));
     }
@@ -760,8 +773,8 @@ mod tests {
         let plain_cfg = EngineConfig::serial();
         let themed_cfg = EngineConfig::serial().with_theory(theory);
         for (l, r) in [(&q_small, &q_big), (&q_big, &q_small), (&q_big, &q_big)] {
-            let plain = decide_containment_with(&s, l, r, &plain_cfg).unwrap();
-            let themed = decide_containment_with(&s, l, r, &themed_cfg).unwrap();
+            let plain = on_engine(&s, l, r, &plain_cfg, Engine::decide).unwrap();
+            let themed = on_engine(&s, l, r, &themed_cfg, Engine::decide).unwrap();
             assert_eq!(format!("{plain:?}"), format!("{themed:?}"));
         }
     }
@@ -774,17 +787,17 @@ mod tests {
     }
 
     impl DecisionCache for CountingCache {
-        fn get_contains(&self, _s: &Schema, _q1: &Query, _q2: &Query) -> Option<bool> {
+        fn get_contains_prepared(&self, _p1: &PreparedQuery, _p2: &PreparedQuery) -> Option<bool> {
             self.gets.fetch_add(1, Ordering::Relaxed);
             None
         }
-        fn put_contains(&self, _s: &Schema, _q1: &Query, _q2: &Query, _holds: bool) {
+        fn put_contains_prepared(&self, _p1: &PreparedQuery, _p2: &PreparedQuery, _holds: bool) {
             self.puts.fetch_add(1, Ordering::Relaxed);
         }
-        fn get_minimized(&self, _s: &Schema, _q: &Query) -> Option<UnionQuery> {
+        fn get_minimized_prepared(&self, _p: &PreparedQuery) -> Option<UnionQuery> {
             None
         }
-        fn put_minimized(&self, _s: &Schema, _q: &Query, _r: &UnionQuery) {}
+        fn put_minimized_prepared(&self, _p: &PreparedQuery, _r: &UnionQuery) {}
     }
 
     #[test]
@@ -797,7 +810,7 @@ mod tests {
         // the schema's constraints auto-activate a theory — the schema
         // fingerprint carries the constraint text, so keys cannot collide.
         let cfg = EngineConfig::serial().with_cache(cache.clone());
-        assert!(crate::contains_terminal_with(&s, &t1, &t1, &cfg).unwrap());
+        assert!(on_engine(&s, &t1, &t1, &cfg, Engine::contains).unwrap());
         assert_eq!(cache.gets.load(Ordering::Relaxed), 1);
         assert_eq!(cache.puts.load(Ordering::Relaxed), 1);
 
@@ -809,7 +822,7 @@ mod tests {
             let cfg = EngineConfig::serial()
                 .with_cache(cache.clone())
                 .with_theory(theory);
-            assert!(crate::contains_terminal_with(&s, &t1, &t1, &cfg).unwrap());
+            assert!(on_engine(&s, &t1, &t1, &cfg, Engine::contains).unwrap());
         }
         assert_eq!(cache.gets.load(Ordering::Relaxed), 1);
         assert_eq!(cache.puts.load(Ordering::Relaxed), 1);
@@ -821,7 +834,7 @@ mod tests {
         let constrained = total_schema(true);
         let cfg = EngineConfig::serial();
         let q1 = range_query(&constrained, "T");
-        decide_containment_with(&constrained, &q1, &q1, &cfg).unwrap();
+        on_engine(&constrained, &q1, &q1, &cfg, Engine::decide).unwrap();
         let after = theory_stats();
         assert!(after.decisions > before.decisions);
         assert!(after.left_rewrites > before.left_rewrites);
@@ -842,8 +855,10 @@ mod tests {
         let q = range_query(&s, "T");
         let q1c = compiled_left(&s, &q, &EngineConfig::serial()).unwrap();
         assert_eq!(q1c.var_count(), 1 + MAX_CHASE_ROUNDS);
-        assert!(decide_containment_with(&s, &q, &q, &EngineConfig::serial())
-            .unwrap()
-            .holds());
+        assert!(
+            on_engine(&s, &q, &q, &EngineConfig::serial(), Engine::decide)
+                .unwrap()
+                .holds()
+        );
     }
 }

@@ -4,17 +4,19 @@
 //! isomorphism-invariant keys:
 //!
 //! * **Schema fingerprint.** A schema is keyed by its full rendered
-//!   description ([`Schema`]'s `Display`, the DSL text `oocq-parser`
+//!   description (`Schema`'s `Display`, the DSL text `oocq-parser`
 //!   accepts) — deterministic because tuple types iterate in `BTreeMap`
 //!   order, and collision-free because the whole description is the key,
-//!   not a hash of it. Fingerprints are interned to `Arc<str>` so the many
-//!   cache entries of one session share one allocation.
+//!   not a hash of it. The fingerprint is rendered once per
+//!   [`PreparedSchema`](oocq_core::PreparedSchema) and shared as an
+//!   `Arc<str>`, so the many cache entries of one session share one
+//!   allocation.
 //! * **Containment entries** are keyed by
-//!   `(fingerprint, canonical_form(Q₁), canonical_form(Q₂))` using
-//!   [`oocq_query::canonical_form`]. Containment is invariant under
-//!   variable renaming of either side, so a renamed copy of a previously
-//!   decided pair hits — which is exactly what `nonredundant_union`'s
-//!   O(n²) pairwise checks over expansion branches need.
+//!   `(fingerprint, canonical_form(Q₁), canonical_form(Q₂))`, read from
+//!   the canonical forms memoized on the query handles. Containment is
+//!   invariant under variable renaming of either side, so a renamed copy
+//!   of a previously decided pair hits — which is exactly what the §4
+//!   sweeps' O(n²) pairwise checks over expansion branches need.
 //! * **Minimization entries** are keyed by
 //!   `(fingerprint, rendered query)` — the *exact* query, because
 //!   minimization output carries variable names back to the user and must
@@ -53,8 +55,7 @@
 
 use crate::persist;
 use oocq_core::{DecisionCache, PreparedQuery};
-use oocq_query::{canonical_form, CanonicalQuery, Query, UnionQuery};
-use oocq_schema::Schema;
+use oocq_query::{CanonicalQuery, UnionQuery};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -103,6 +104,18 @@ struct ContainsKey {
     q2: CanonicalQuery,
 }
 
+impl ContainsKey {
+    fn of(p1: &PreparedQuery, p2: &PreparedQuery) -> ContainsKey {
+        ContainsKey {
+            version: ENGINE_CACHE_VERSION,
+            schema: p1.schema().fingerprint().clone(),
+            theory: p1.schema().schema().constraints_text().clone(),
+            q1: p1.canonical_form().clone(),
+            q2: p2.canonical_form().clone(),
+        }
+    }
+}
+
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct MinimizeKey {
     version: u32,
@@ -110,6 +123,17 @@ struct MinimizeKey {
     /// See [`ContainsKey::theory`].
     theory: Arc<str>,
     query: String,
+}
+
+impl MinimizeKey {
+    fn of(p: &PreparedQuery) -> MinimizeKey {
+        MinimizeKey {
+            version: ENGINE_CACHE_VERSION,
+            schema: p.schema().fingerprint().clone(),
+            theory: p.schema().schema().constraints_text().clone(),
+            query: p.query().display(p.schema().schema()).to_string(),
+        }
+    }
 }
 
 struct Entry<V> {
@@ -214,13 +238,6 @@ pub struct PersistStats {
     pub compactions: u64,
     /// Distinct keys currently in the on-disk index.
     pub entries: usize,
-}
-
-/// One interned fingerprint plus its recency stamp: the interner evicts
-/// its least-recently-touched entry on overflow, never the whole table.
-struct InternEntry {
-    key: Arc<str>,
-    stamp: AtomicU64,
 }
 
 /// Mutable half of the persistent tier, under one mutex: the verdict
@@ -330,11 +347,6 @@ impl Tier2 {
 pub struct CanonicalDecisionCache {
     contains: Lru<ContainsKey, bool>,
     minimized: Lru<MinimizeKey, UnionQuery>,
-    /// Interned schema fingerprints, keyed by the rendered description.
-    schema_keys: RwLock<HashMap<String, InternEntry>>,
-    /// Bound on the interner, so a long-lived daemon seeing an unbounded
-    /// stream of distinct schemas cannot leak memory through it.
-    intern_cap: usize,
     /// The disk-backed second tier, when configured and lock-winning.
     tier2: Option<Tier2>,
     clock: AtomicU64,
@@ -351,8 +363,6 @@ impl CanonicalDecisionCache {
         CanonicalDecisionCache {
             contains: Lru::new(capacity),
             minimized: Lru::new(capacity),
-            schema_keys: RwLock::new(HashMap::new()),
-            intern_cap: capacity.max(1),
             tier2: None,
             clock: AtomicU64::new(0),
             contains_hits: AtomicU64::new(0),
@@ -414,10 +424,9 @@ impl CanonicalDecisionCache {
     /// in-memory shards, then compact away whatever didn't survive.
     fn load_records(&self, records: Vec<persist::Record>) {
         let t2 = self.tier2.as_ref().expect("load_records requires tier2");
-        // Deduplicate fingerprint allocations across the replay without
-        // going through the bounded interner (a log can legitimately hold
-        // more schemas than the interner admits; `Arc<str>` keys compare
-        // by content, so these stay hittable either way).
+        // Deduplicate fingerprint allocations across the replay; `Arc<str>`
+        // keys compare by content, so replayed entries hit the keys live
+        // handles build.
         let mut interned: HashMap<String, Arc<str>> = HashMap::new();
         let mut st = t2.state.lock().unwrap();
         for rec in records {
@@ -516,45 +525,6 @@ impl CanonicalDecisionCache {
         self.tier2.as_ref().map(Tier2::stats)
     }
 
-    /// The interned fingerprint of a schema: its full rendered description.
-    pub fn schema_key(&self, schema: &Schema) -> Arc<str> {
-        let text = schema.to_string();
-        if let Some(e) = self.schema_keys.read().unwrap().get(&text) {
-            e.stamp.store(self.clock.fetch_add(1, Relaxed) + 1, Relaxed);
-            return e.key.clone();
-        }
-        let mut keys = self.schema_keys.write().unwrap();
-        // Interning only deduplicates allocations — `Arc<str>` hashes and
-        // compares by content, so cache entries keyed through an evicted
-        // fingerprint keep hitting. On overflow, evict only the least
-        // recently touched fingerprint: a schema flood then recycles one
-        // slot per stranger while every hot fingerprint keeps its shared
-        // allocation.
-        if keys.len() >= self.intern_cap && !keys.contains_key(&text) {
-            let victim = keys
-                .iter()
-                .min_by_key(|(_, e)| e.stamp.load(Relaxed))
-                .map(|(k, _)| k.clone());
-            if let Some(v) = victim {
-                keys.remove(&v);
-            }
-        }
-        let stamp = AtomicU64::new(self.clock.fetch_add(1, Relaxed) + 1);
-        keys.entry(text)
-            .or_insert_with_key(|t| InternEntry {
-                key: Arc::from(t.as_str()),
-                stamp,
-            })
-            .key
-            .clone()
-    }
-
-    /// How many distinct schema fingerprints are currently interned
-    /// (bounded by the cache capacity; test/diagnostic aid).
-    pub fn interned_schemas(&self) -> usize {
-        self.schema_keys.read().unwrap().len()
-    }
-
     /// Traffic counters since construction.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -574,25 +544,6 @@ impl CanonicalDecisionCache {
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    fn contains_key(&self, schema: &Schema, q1: &Query, q2: &Query) -> ContainsKey {
-        ContainsKey {
-            version: ENGINE_CACHE_VERSION,
-            schema: self.schema_key(schema),
-            theory: schema.constraints_text().clone(),
-            q1: canonical_form(q1),
-            q2: canonical_form(q2),
-        }
-    }
-
-    fn minimize_key(&self, schema: &Schema, q: &Query) -> MinimizeKey {
-        MinimizeKey {
-            version: ENGINE_CACHE_VERSION,
-            schema: self.schema_key(schema),
-            theory: schema.constraints_text().clone(),
-            query: q.display(schema).to_string(),
-        }
     }
 
     /// Tier-1 lookup, falling through to the on-disk index. A tier-2 hit
@@ -626,71 +577,20 @@ impl CanonicalDecisionCache {
     }
 }
 
+// Prepared operands carry their keys pre-computed: the schema fingerprint
+// is rendered once on the PreparedSchema, and canonical forms are memoized
+// on the query handles.
 impl DecisionCache for CanonicalDecisionCache {
-    fn get_contains(&self, schema: &Schema, q1: &Query, q2: &Query) -> Option<bool> {
-        let key = self.contains_key(schema, q1, q2);
-        self.lookup_contains(&key)
-    }
-
-    fn put_contains(&self, schema: &Schema, q1: &Query, q2: &Query, holds: bool) {
-        let key = self.contains_key(schema, q1, q2);
-        self.store_contains(key, holds);
-    }
-
-    fn get_minimized(&self, schema: &Schema, q: &Query) -> Option<UnionQuery> {
-        let key = self.minimize_key(schema, q);
-        let hit = self.minimized.get(&key, &self.clock);
-        match hit {
-            Some(_) => self.minimize_hits.fetch_add(1, Relaxed),
-            None => self.minimize_misses.fetch_add(1, Relaxed),
-        };
-        hit
-    }
-
-    fn put_minimized(&self, schema: &Schema, q: &Query, result: &UnionQuery) {
-        let key = self.minimize_key(schema, q);
-        if self.minimized.put(key, result.clone(), &self.clock) {
-            self.evictions.fetch_add(1, Relaxed);
-        }
-    }
-
-    // Prepared operands carry their keys pre-computed: the schema
-    // fingerprint is already rendered and interned on the PreparedSchema,
-    // and canonical forms are memoized on the query handles — so these
-    // overrides skip the per-lookup schema render and re-canonicalization
-    // the plain methods pay. `Arc<str>` hashes and compares by content, so
-    // entries written through either path hit through the other.
-
     fn get_contains_prepared(&self, p1: &PreparedQuery, p2: &PreparedQuery) -> Option<bool> {
-        let key = ContainsKey {
-            version: ENGINE_CACHE_VERSION,
-            schema: p1.schema().fingerprint().clone(),
-            theory: p1.schema().schema().constraints_text().clone(),
-            q1: p1.canonical_form().clone(),
-            q2: p2.canonical_form().clone(),
-        };
-        self.lookup_contains(&key)
+        self.lookup_contains(&ContainsKey::of(p1, p2))
     }
 
     fn put_contains_prepared(&self, p1: &PreparedQuery, p2: &PreparedQuery, holds: bool) {
-        let key = ContainsKey {
-            version: ENGINE_CACHE_VERSION,
-            schema: p1.schema().fingerprint().clone(),
-            theory: p1.schema().schema().constraints_text().clone(),
-            q1: p1.canonical_form().clone(),
-            q2: p2.canonical_form().clone(),
-        };
-        self.store_contains(key, holds);
+        self.store_contains(ContainsKey::of(p1, p2), holds);
     }
 
     fn get_minimized_prepared(&self, p: &PreparedQuery) -> Option<UnionQuery> {
-        let key = MinimizeKey {
-            version: ENGINE_CACHE_VERSION,
-            schema: p.schema().fingerprint().clone(),
-            theory: p.schema().schema().constraints_text().clone(),
-            query: p.query().display(p.schema().schema()).to_string(),
-        };
-        let hit = self.minimized.get(&key, &self.clock);
+        let hit = self.minimized.get(&MinimizeKey::of(p), &self.clock);
         match hit {
             Some(_) => self.minimize_hits.fetch_add(1, Relaxed),
             None => self.minimize_misses.fetch_add(1, Relaxed),
@@ -699,13 +599,10 @@ impl DecisionCache for CanonicalDecisionCache {
     }
 
     fn put_minimized_prepared(&self, p: &PreparedQuery, result: &UnionQuery) {
-        let key = MinimizeKey {
-            version: ENGINE_CACHE_VERSION,
-            schema: p.schema().fingerprint().clone(),
-            theory: p.schema().schema().constraints_text().clone(),
-            query: p.query().display(p.schema().schema()).to_string(),
-        };
-        if self.minimized.put(key, result.clone(), &self.clock) {
+        if self
+            .minimized
+            .put(MinimizeKey::of(p), result.clone(), &self.clock)
+        {
             self.evictions.fetch_add(1, Relaxed);
         }
     }
@@ -714,8 +611,22 @@ impl DecisionCache for CanonicalDecisionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oocq_query::QueryBuilder;
-    use oocq_schema::samples;
+    use oocq_core::PreparedSchema;
+    use oocq_query::{canonical_form, Query, QueryBuilder};
+    use oocq_schema::{samples, Schema};
+
+    /// A fresh handle for `q` under `s`.
+    fn handle(s: &Schema, q: &Query) -> PreparedQuery {
+        PreparedQuery::new(&PreparedSchema::new(s), q.clone())
+    }
+
+    fn get(cache: &CanonicalDecisionCache, s: &Schema, q1: &Query, q2: &Query) -> Option<bool> {
+        cache.get_contains_prepared(&handle(s, q1), &handle(s, q2))
+    }
+
+    fn put(cache: &CanonicalDecisionCache, s: &Schema, q1: &Query, q2: &Query, holds: bool) {
+        cache.put_contains_prepared(&handle(s, q1), &handle(s, q2), holds);
+    }
 
     fn simple(s: &Schema, free: &str, bound: &str) -> Query {
         let c = s.class_id("C").unwrap();
@@ -731,13 +642,13 @@ mod tests {
         let s = samples::single_class();
         let cache = CanonicalDecisionCache::new(64);
         let (q1, q2) = (simple(&s, "x", "y"), simple(&s, "x", "y"));
-        assert_eq!(cache.get_contains(&s, &q1, &q2), None);
-        cache.put_contains(&s, &q1, &q2, true);
+        assert_eq!(get(&cache, &s, &q1, &q2), None);
+        put(&cache, &s, &q1, &q2, true);
         // Exact repeat hits.
-        assert_eq!(cache.get_contains(&s, &q1, &q2), Some(true));
+        assert_eq!(get(&cache, &s, &q1, &q2), Some(true));
         // A renamed copy on both sides hits the same entry.
         let (r1, r2) = (simple(&s, "a", "b"), simple(&s, "u", "v"));
-        assert_eq!(cache.get_contains(&s, &r1, &r2), Some(true));
+        assert_eq!(get(&cache, &s, &r1, &r2), Some(true));
         let st = cache.stats();
         assert_eq!(st.contains_hits, 2);
         assert_eq!(st.contains_misses, 1);
@@ -749,10 +660,10 @@ mod tests {
         let s2 = samples::vehicle_rental();
         let cache = CanonicalDecisionCache::new(64);
         let q = simple(&s1, "x", "y");
-        cache.put_contains(&s1, &q, &q, true);
+        put(&cache, &s1, &q, &q, true);
         // Same queries under a different schema: distinct fingerprint.
-        assert_eq!(cache.get_contains(&s2, &q, &q), None);
-        assert_eq!(cache.get_contains(&s1, &q, &q), Some(true));
+        assert_eq!(get(&cache, &s2, &q, &q), None);
+        assert_eq!(get(&cache, &s1, &q, &q), Some(true));
     }
 
     #[test]
@@ -762,10 +673,10 @@ mod tests {
         let q = simple(&s, "x", "y");
         let renamed = simple(&s, "a", "b");
         let result = UnionQuery::single(q.clone());
-        cache.put_minimized(&s, &q, &result);
-        assert_eq!(cache.get_minimized(&s, &q), Some(result));
+        cache.put_minimized_prepared(&handle(&s, &q), &result);
+        assert_eq!(cache.get_minimized_prepared(&handle(&s, &q)), Some(result));
         // Isomorphic but differently named: must MISS (output carries names).
-        assert_eq!(cache.get_minimized(&s, &renamed), None);
+        assert_eq!(cache.get_minimized_prepared(&handle(&s, &renamed)), None);
     }
 
     #[test]
@@ -791,12 +702,12 @@ mod tests {
         };
         let probe = chain(1);
         for k in 1..=48 {
-            cache.put_contains(&s, &chain(k), &probe, true);
+            put(&cache, &s, &chain(k), &probe, true);
         }
         assert!(cache.len() <= SHARD_COUNT, "len {} > cap", cache.len());
         assert!(cache.stats().evictions >= 48 - SHARD_COUNT as u64);
         // The newest entry survives in its shard.
-        assert_eq!(cache.get_contains(&s, &chain(48), &probe), Some(true));
+        assert_eq!(get(&cache, &s, &chain(48), &probe), Some(true));
     }
 
     #[test]
@@ -804,13 +715,13 @@ mod tests {
         let s = samples::single_class();
         let cache = CanonicalDecisionCache::new(64);
         let q = simple(&s, "x", "y");
-        cache.put_contains(&s, &q, &q, true);
-        assert_eq!(cache.get_contains(&s, &q, &q), Some(true));
+        put(&cache, &s, &q, &q, true);
+        assert_eq!(get(&cache, &s, &q, &q), Some(true));
         // An entry written under a different engine version must miss: the
         // stamp is part of key identity, not advisory metadata.
         let stale = ContainsKey {
             version: ENGINE_CACHE_VERSION + 1,
-            schema: cache.schema_key(&s),
+            schema: Arc::from(s.to_string().as_str()),
             theory: s.constraints_text().clone(),
             q1: canonical_form(&q),
             q2: canonical_form(&q),
@@ -840,57 +751,9 @@ mod tests {
         let x = b.free();
         b.range(x, [c]);
         let q = b.build();
-        cache.put_contains(&plain, &q, &q, true);
-        assert_eq!(cache.get_contains(&constrained, &q, &q), None);
-        assert_eq!(cache.get_contains(&plain, &q, &q), Some(true));
-    }
-
-    #[test]
-    fn schema_fingerprints_are_interned() {
-        let s = samples::vehicle_rental();
-        let cache = CanonicalDecisionCache::new(8);
-        let k1 = cache.schema_key(&s);
-        let k2 = cache.schema_key(&s.clone());
-        assert!(Arc::ptr_eq(&k1, &k2));
-        assert!(k1.contains("class Vehicle"));
-    }
-
-    #[test]
-    fn schema_interner_is_bounded_and_entries_survive_its_flush() {
-        let cap = 4;
-        let cache = CanonicalDecisionCache::new(cap);
-        let q = simple(&samples::single_class(), "x", "y");
-        // A hot schema interned before the flood…
-        let hot = samples::vehicle_rental();
-        let hot_key = cache.schema_key(&hot);
-        // A flood of distinct schemas (one class, varying name) must not
-        // grow the interner past the cache capacity — and because eviction
-        // is per-entry LRU (not a wholesale flush), the hot fingerprint we
-        // keep touching must keep its original allocation throughout.
-        for i in 0..(cap * 5) {
-            let s = oocq_parser::parse_schema(&format!("class C{i} {{}}")).unwrap();
-            cache.put_contains(&s, &q, &q, true);
-            assert!(
-                cache.interned_schemas() <= cap,
-                "interner grew to {} > {cap}",
-                cache.interned_schemas()
-            );
-            assert!(
-                Arc::ptr_eq(&hot_key, &cache.schema_key(&hot)),
-                "hot fingerprint lost its interned allocation at flood step {i}"
-            );
-        }
-        // Content equality keys the tables, so an entry written before its
-        // fingerprint was evicted still hits afterwards (as long as its
-        // LRU shard kept it).
-        let s0 = oocq_parser::parse_schema("class C0 {}").unwrap();
-        cache.put_contains(&s0, &q, &q, true);
-        for j in 0..cap {
-            let s = oocq_parser::parse_schema(&format!("class Other{j} {{}}")).unwrap();
-            let _ = cache.schema_key(&s);
-        }
-        assert!(cache.interned_schemas() <= cap);
-        assert_eq!(cache.get_contains(&s0, &q, &q), Some(true));
+        put(&cache, &plain, &q, &q, true);
+        assert_eq!(get(&cache, &constrained, &q, &q), None);
+        assert_eq!(get(&cache, &plain, &q, &q), Some(true));
     }
 
     // ---- persistent tier -------------------------------------------------
@@ -934,7 +797,7 @@ mod tests {
             assert!(cache.persistence_active());
             let probe = chain(&s, 1);
             for k in 1..=n {
-                cache.put_contains(&s, &chain(&s, k), &probe, k % 2 == 0);
+                put(&cache, &s, &chain(&s, k), &probe, k % 2 == 0);
             }
             assert_eq!(cache.persist_stats().unwrap().appended, n as u64);
         }
@@ -948,7 +811,7 @@ mod tests {
         let probe = chain(&s, 1);
         for k in 1..=n {
             assert_eq!(
-                cache.get_contains(&s, &chain(&s, k), &probe),
+                get(&cache, &s, &chain(&s, k), &probe),
                 Some(k % 2 == 0),
                 "verdict for k={k} lost across restart"
             );
@@ -967,7 +830,7 @@ mod tests {
         let q = simple(&s, "x", "y");
         {
             let cache = CanonicalDecisionCache::with_persistence(64, &dir, 64).unwrap();
-            cache.put_contains(&s, &q, &q, true);
+            put(&cache, &s, &q, &q, true);
         }
         // Re-stamp every record as if written by a different engine
         // version — the moral equivalent of bumping ENGINE_CACHE_VERSION
@@ -986,7 +849,7 @@ mod tests {
         assert_eq!(st.stale, 1);
         assert_eq!(st.loaded, 0);
         assert_eq!(st.entries, 0);
-        assert_eq!(cache.get_contains(&s, &q, &q), None);
+        assert_eq!(get(&cache, &s, &q, &q), None);
         assert_eq!(cache.persist_stats().unwrap().tier2_hits, 0);
         // Load-time compaction purged the stale records from disk.
         let (after, _) = persist::scan_log(&std::fs::read(log_path(&dir)).unwrap());
@@ -1009,15 +872,15 @@ mod tests {
         let q = b.build();
         {
             let cache = CanonicalDecisionCache::with_persistence(64, &dir, 64).unwrap();
-            cache.put_contains(&plain, &q, &q, true);
+            put(&cache, &plain, &q, &q, true);
         }
         // Restart under the *constrained* schema: the persisted verdict
         // must be unreachable (different schema and theory fingerprints),
         // while the original identity still replays.
         let cache = CanonicalDecisionCache::with_persistence(64, &dir, 64).unwrap();
-        assert_eq!(cache.get_contains(&constrained, &q, &q), None);
+        assert_eq!(get(&cache, &constrained, &q, &q), None);
         assert_eq!(cache.persist_stats().unwrap().tier2_hits, 0);
-        assert_eq!(cache.get_contains(&plain, &q, &q), Some(true));
+        assert_eq!(get(&cache, &plain, &q, &q), Some(true));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1029,7 +892,7 @@ mod tests {
         {
             let cache = CanonicalDecisionCache::with_persistence(64, &dir, 64).unwrap();
             for k in 1..=3 {
-                cache.put_contains(&s, &chain(&s, k), &probe, true);
+                put(&cache, &s, &chain(&s, k), &probe, true);
             }
         }
         // Crash mid-append: chop bytes off the final frame.
@@ -1041,9 +904,9 @@ mod tests {
         let st = cache.persist_stats().unwrap();
         assert_eq!(st.loaded, 2);
         assert_eq!(st.corrupt, 1);
-        assert_eq!(cache.get_contains(&s, &chain(&s, 1), &probe), Some(true));
-        assert_eq!(cache.get_contains(&s, &chain(&s, 2), &probe), Some(true));
-        assert_eq!(cache.get_contains(&s, &chain(&s, 3), &probe), None);
+        assert_eq!(get(&cache, &s, &chain(&s, 1), &probe), Some(true));
+        assert_eq!(get(&cache, &s, &chain(&s, 2), &probe), Some(true));
+        assert_eq!(get(&cache, &s, &chain(&s, 3), &probe), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1056,7 +919,7 @@ mod tests {
         {
             let cache = CanonicalDecisionCache::with_persistence(64, &dir, 64).unwrap();
             for k in 1..=3 {
-                cache.put_contains(&s, &chain(&s, k), &probe, true);
+                put(&cache, &s, &chain(&s, k), &probe, true);
                 offsets.push(std::fs::metadata(log_path(&dir)).unwrap().len() as usize);
             }
         }
@@ -1069,9 +932,9 @@ mod tests {
         let st = cache.persist_stats().unwrap();
         assert_eq!(st.loaded, 2);
         assert!(st.corrupt >= 1);
-        assert_eq!(cache.get_contains(&s, &chain(&s, 1), &probe), Some(true));
-        assert_eq!(cache.get_contains(&s, &chain(&s, 2), &probe), None);
-        assert_eq!(cache.get_contains(&s, &chain(&s, 3), &probe), Some(true));
+        assert_eq!(get(&cache, &s, &chain(&s, 1), &probe), Some(true));
+        assert_eq!(get(&cache, &s, &chain(&s, 2), &probe), None);
+        assert_eq!(get(&cache, &s, &chain(&s, 3), &probe), Some(true));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1087,8 +950,8 @@ mod tests {
         let loser = CanonicalDecisionCache::with_persistence(64, &dir, 64).unwrap();
         assert!(!loser.persistence_active());
         assert_eq!(loser.persist_stats(), None);
-        loser.put_contains(&s, &q, &q, false);
-        assert_eq!(loser.get_contains(&s, &q, &q), Some(false));
+        put(&loser, &s, &q, &q, false);
+        assert_eq!(get(&loser, &s, &q, &q), Some(false));
         // Releasing the winner frees the directory for the next process.
         drop(winner);
         let heir = CanonicalDecisionCache::with_persistence(64, &dir, 64).unwrap();
@@ -1105,7 +968,7 @@ mod tests {
         // Flip one key's verdict repeatedly: every flip appends a record
         // that kills the previous one.
         for i in 0..2 * (COMPACT_MIN_DEAD + 2) {
-            cache.put_contains(&s, &q, &q, i % 2 == 0);
+            put(&cache, &s, &q, &q, i % 2 == 0);
         }
         let st = cache.persist_stats().unwrap();
         assert!(st.superseded >= COMPACT_MIN_DEAD);
@@ -1131,13 +994,13 @@ mod tests {
         {
             let cache = CanonicalDecisionCache::with_persistence(64, &dir, cap).unwrap();
             for k in 1..=10 {
-                cache.put_contains(&s, &chain(&s, k), &probe, true);
+                put(&cache, &s, &chain(&s, k), &probe, true);
             }
             let st = cache.persist_stats().unwrap();
             assert_eq!(st.entries, cap);
             assert_eq!(st.rejected, 10 - cap as u64);
             // Rejected writes still serve from tier 1 for this process.
-            assert_eq!(cache.get_contains(&s, &chain(&s, 9), &probe), Some(true));
+            assert_eq!(get(&cache, &s, &chain(&s, 9), &probe), Some(true));
         }
         let cache = CanonicalDecisionCache::with_persistence(64, &dir, cap).unwrap();
         assert_eq!(cache.persist_stats().unwrap().entries, cap);

@@ -17,7 +17,7 @@ use oocq_core::{
     PreparedSchema, Satisfiability,
 };
 use oocq_parser::{parse_program, parse_query, parse_schema};
-use oocq_query::{normalize, Query, UnionQuery};
+use oocq_query::{normalize, UnionQuery};
 use oocq_schema::Schema;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -69,41 +69,6 @@ struct CountingView {
 }
 
 impl DecisionCache for CountingView {
-    fn get_contains(&self, s: &Schema, q1: &Query, q2: &Query) -> Option<bool> {
-        let r = self.inner.as_ref().and_then(|c| c.get_contains(s, q1, q2));
-        if r.is_some() {
-            self.hits.fetch_add(1, Relaxed);
-        }
-        r
-    }
-
-    fn put_contains(&self, s: &Schema, q1: &Query, q2: &Query, holds: bool) {
-        self.decided.fetch_add(1, Relaxed);
-        if let Some(c) = &self.inner {
-            c.put_contains(s, q1, q2, holds);
-        }
-    }
-
-    fn get_minimized(&self, s: &Schema, q: &Query) -> Option<UnionQuery> {
-        let r = self.inner.as_ref().and_then(|c| c.get_minimized(s, q));
-        if r.is_some() {
-            self.hits.fetch_add(1, Relaxed);
-        }
-        r
-    }
-
-    fn put_minimized(&self, s: &Schema, q: &Query, result: &UnionQuery) {
-        self.decided.fetch_add(1, Relaxed);
-        if let Some(c) = &self.inner {
-            c.put_minimized(s, q, result);
-        }
-    }
-
-    // Forward prepared lookups to the shared cache's prepared overrides so
-    // the memoized canonical forms and interned schema fingerprint are used
-    // for keying (the trait defaults would fall back to this view's plain
-    // methods and re-render both per lookup).
-
     fn get_contains_prepared(&self, p1: &PreparedQuery, p2: &PreparedQuery) -> Option<bool> {
         let r = self
             .inner
@@ -869,35 +834,12 @@ mod tests {
         assert!(out.contains("check Q <= Q: holds"));
     }
 
-    /// A session whose `Big ⊆ R` check holds only after walking 2^12
-    /// membership-subset branches (see the core `explosion_pair` tests):
-    /// no early refutation, no size-guard trip — only a budget stops it.
-    /// The inequality chain keeps the candidates asymmetric so the cache's
-    /// canonical labeling stays cheap and this fixture measures the branch
-    /// walk alone (the labeling's own factorial regime is budgeted too —
-    /// see `limit_option_bounds_the_canonical_labeling_backtracking`).
+    /// A session holding the shared `Big`/`R` deadline fixture.
     fn explosion_session(e: &ServiceEngine) {
-        e.define_schema("s", "class T1 {}\nclass T2 { A: {T1}; }")
-            .unwrap();
-        let vars: Vec<String> = (1..=12).map(|i| format!("x{i}")).collect();
-        let chain: String = vars
-            .windows(2)
-            .map(|w| format!(" & {} != {}", w[0], w[1]))
-            .collect();
-        let big = format!(
-            "{{ x0 | exists {}, z, y: x0 in T1{}{chain} & z in T1 & y in T2 & x0 in y.A & z not in y.A }}",
-            vars.join(", "),
-            vars.iter()
-                .map(|v| format!(" & {v} in T1"))
-                .collect::<String>()
-        );
-        e.define_query("s", "Big", &big).unwrap();
-        e.define_query(
-            "s",
-            "R",
-            "{ x | exists u, y: x in T1 & u in T1 & y in T2 & u not in y.A }",
-        )
-        .unwrap();
+        use crate::explosion;
+        e.define_schema("s", explosion::SCHEMA).unwrap();
+        e.define_query("s", "Big", &explosion::big()).unwrap();
+        e.define_query("s", "R", explosion::R).unwrap();
     }
 
     #[test]

@@ -42,3 +42,34 @@ pub use flight::{FlightKey, FlightStats, JoinOutcome, Singleflight};
 pub use protocol::{escape, parse_request, render_response, unescape, Request, RequestStats};
 pub use runner::{run_program_with, run_workbench_with, RunError};
 pub use server::{accept_loop, daemon_main, serve};
+
+/// The deadline fixture the engine and server tests share: under
+/// [`SCHEMA`](explosion::SCHEMA), `Big ⊆ R` holds only after walking 2^19
+/// membership-subset branches (see the core `explosion_pair` tests) — no
+/// early refutation and no size-guard trip, so only a budget stops it. A
+/// release build needs seconds for that walk, so a 40 ms deadline trips in
+/// every profile. The inequality chain keeps the candidates asymmetric, so
+/// the cache's canonical labeling stays cheap and the fixture measures the
+/// branch walk alone (the labeling's own factorial regime is budgeted too —
+/// see `limit_option_bounds_the_canonical_labeling_backtracking`).
+#[cfg(test)]
+mod explosion {
+    pub(crate) const SCHEMA: &str = "class T1 {} class T2 { A: {T1}; }";
+
+    pub(crate) const R: &str = "{ x | exists u, y: x in T1 & u in T1 & y in T2 & u not in y.A }";
+
+    /// The left side: `x0` plus 19 chained candidates, a pinned member and
+    /// a pinned non-member.
+    pub(crate) fn big() -> String {
+        let vars: Vec<String> = (1..=19).map(|i| format!("x{i}")).collect();
+        let ranges: String = vars.iter().map(|v| format!(" & {v} in T1")).collect();
+        let chain: String = vars
+            .windows(2)
+            .map(|w| format!(" & {} != {}", w[0], w[1]))
+            .collect();
+        format!(
+            "{{ x0 | exists {}, z, y: x0 in T1{ranges}{chain} & z in T1 & y in T2 & x0 in y.A & z not in y.A }}",
+            vars.join(", "),
+        )
+    }
+}

@@ -601,29 +601,19 @@ mod tests {
         assert!(out.ends_with("[3] ok holds\n"));
     }
 
-    /// A session whose `contains s Big R` walks 2^12 membership branches
-    /// before concluding — enough work for a small deadline or `limit=` to
-    /// trip mid-run (see the matching construction in engine.rs tests; the
-    /// inequality chain keeps the cache's canonical labeling cheap).
+    /// A program defining the shared `Big`/`R` deadline fixture, then
+    /// `tail`.
     fn explosion_program(tail: &str) -> String {
-        let vars: Vec<String> = (1..=12).map(|i| format!("x{i}")).collect();
-        let chain: String = vars
-            .windows(2)
-            .map(|w| format!(" & {} != {}", w[0], w[1]))
-            .collect();
-        let big = format!(
-            "{{ x0 | exists {}, z, y: x0 in T1{}{chain} & z in T1 & y in T2 & x0 in y.A & z not in y.A }}",
-            vars.join(", "),
-            vars.iter()
-                .map(|v| format!(" & {v} in T1"))
-                .collect::<String>(),
-        );
+        use crate::explosion;
         format!(
             "stats off\n\
-             schema s class T1 {{}} class T2 {{ A: {{T1}}; }}\n\
-             query s Big {big}\n\
-             query s R {{ x | exists u, y: x in T1 & u in T1 & y in T2 & u not in y.A }}\n\
-             {tail}"
+             schema s {}\n\
+             query s Big {}\n\
+             query s R {}\n\
+             {tail}",
+            explosion::SCHEMA,
+            explosion::big(),
+            explosion::R
         )
     }
 

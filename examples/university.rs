@@ -1,6 +1,6 @@
 //! A richer domain: a university schema with a three-level hierarchy and
-//! several realistic queries, run through the memoizing [`Optimizer`]
-//! session. Shows the full surface working together: the DSL, typing-based
+//! several realistic queries, run through one [`Engine`] over a shared
+//! [`CanonicalDecisionCache`]. Shows the full surface working together: the DSL, typing-based
 //! pruning across multiple refinement sites, certificates, the pipeline
 //! report, and evaluation on generated data.
 //!
@@ -10,8 +10,9 @@ use oocq::gen::StdRng;
 use oocq::gen::{random_state, StateParams};
 use oocq::{
     answer, answer_union, decide_containment, minimize_positive_report, parse_query, parse_schema,
-    Optimizer,
+    CanonicalDecisionCache, Engine,
 };
+use std::sync::Arc;
 
 fn main() {
     // People split into staff and students; students into undergrads and
@@ -36,7 +37,11 @@ fn main() {
 
     println!("schema statistics: {:?}\n", schema.statistics());
 
-    let mut opt = Optimizer::new(&schema);
+    // One engine over a decision cache: a repeated minimization is a
+    // cache hit.
+    let cache = Arc::new(CanonicalDecisionCache::new(1024));
+    let engine = Engine::serial().with_cache(cache.clone());
+    let prepared_schema = engine.prepare_schema(&schema);
 
     // Q1: courses taken by some student and taught by some staff member.
     let q1 = parse_query(
@@ -60,8 +65,12 @@ fn main() {
     }
 
     // Containment with a certificate: every Q2 answer is a Q1 answer.
-    let m2 = opt.minimize(&q2).unwrap();
-    let m1 = opt.minimize(&q1).unwrap();
+    let (p1, p2) = (
+        engine.prepare(&prepared_schema, &q1),
+        engine.prepare(&prepared_schema, &q2),
+    );
+    let m2 = engine.minimize(&p2).unwrap();
+    let m1 = engine.minimize(&p1).unwrap();
     let contained = oocq::union_contains(&schema, &m2, &m1).unwrap();
     println!("Q2 <= Q1: {}", if contained { "holds" } else { "FAILS" });
     if let (Some(sub2), true) = (m2.queries().first(), contained) {
@@ -89,8 +98,8 @@ fn main() {
         },
     );
     println!("\nstate: {}", state.statistics(&schema));
-    for (name, q) in [("Q1", &q1), ("Q2", &q2)] {
-        let m = opt.minimize(q).unwrap();
+    for (name, q, p) in [("Q1", &q1, &p1), ("Q2", &q2, &p2)] {
+        let m = engine.minimize(p).unwrap();
         let naive = answer(&schema, &state, q);
         let optimal = answer_union(&schema, &state, &m);
         assert_eq!(naive, optimal, "{name}: minimization must preserve answers");
@@ -101,5 +110,5 @@ fn main() {
             if m.len() == 1 { "y" } else { "ies" }
         );
     }
-    println!("\noptimizer cache: {:?}", opt.stats());
+    println!("\ndecision cache: {:?}", cache.stats());
 }

@@ -19,14 +19,28 @@ if [ "${OOCQ_CI_SKIP_HEAVY:-0}" != "1" ]; then
     cargo build --release
     echo "ci: cargo test -q"
     cargo test -q
+    # The profile that ships: release builds decide faster, so a test that
+    # races the engine against a wall clock can pass in debug and fail here.
+    echo "ci: cargo test --release --no-fail-fast -q"
+    cargo test --release --no-fail-fast -q
     # Failure-path gate: budgets, panic isolation, backpressure, and the
-    # end-to-end deadline walkthrough must stay green by name, so a rename
-    # or filter change can't silently drop them from the suite.
-    echo "ci: failure-path suite"
-    cargo test -q -p oocq-core -- budget times_out timeout
-    cargo test -q -p oocq-service -- timeout times_out panicking queue_bound \
-        read_error stranded interner
-    cargo test -q --test tooling -- oocq_serve_honors_a_request_deadline
+    # end-to-end deadline walkthrough must stay green by name, in both
+    # profiles, so a rename or filter change can't silently drop them from
+    # the suite.
+    for profile in "" --release; do
+        echo "ci: failure-path suite ${profile:-(debug)}"
+        cargo test -q $profile -p oocq-core -- budget times_out timeout
+        cargo test -q $profile -p oocq-service -- timeout times_out panicking \
+            queue_bound read_error stranded
+        cargo test -q $profile --test tooling -- oocq_serve_honors_a_request_deadline
+    done
+    # Benchmark build gate: perfbench links the core and service crates by
+    # path from its own workspace, so an API change that breaks it would
+    # otherwise go unnoticed until the benchmark runs. Same target dir as
+    # perfbench/run.py, so it leaves nothing untracked behind.
+    echo "ci: perfbench build"
+    CARGO_TARGET_DIR=target cargo build --release --offline -q \
+        --manifest-path perfbench/Cargo.toml
     # Pruning gate: bench_prune carries in-binary >=10x branch-reduction
     # floors; a quick run keeps the sub-lattice pruner and the
     # most-constrained-first search honest without re-measuring medians.

@@ -40,7 +40,7 @@
 //!     "{ x | exists y: x in Vehicle & y in Discount & x in y.VehRented }",
 //! ).unwrap();
 //!
-//! let engine = Engine::from_env();
+//! let engine = Engine::serial();
 //! let prepared_schema = engine.prepare_schema(&schema);
 //! let prepared = engine.prepare(&prepared_schema, &query);
 //!
@@ -49,7 +49,8 @@
 //!     optimal.display(&schema).to_string(),
 //!     "{ x | exists y: x in Auto & y in Discount & x in y.VehRented }",
 //! );
-//! // The one-shot free functions remain as convenience wrappers:
+//! // A one-shot free function prepares fresh handles and calls the same
+//! // Engine method:
 //! assert_eq!(oocq::minimize_positive(&schema, &query).unwrap(), optimal);
 //! ```
 //!
@@ -72,19 +73,15 @@
 #![warn(missing_docs)]
 
 pub use oocq_core::{
-    compiled_left, contains_positive, contains_positive_with, contains_terminal,
-    contains_terminal_full, contains_terminal_full_with, contains_terminal_with, cost_leq,
-    decide_containment, decide_containment_with, dispatch_containment_with, equivalent_positive,
-    equivalent_terminal, equivalent_terminal_with, expand, expand_satisfiable,
-    expand_satisfiable_with, expansion_size, is_minimal_terminal_positive, is_satisfiable,
-    minimize_general, minimize_general_with, minimize_positive, minimize_positive_report,
-    minimize_positive_report_with, minimize_positive_with, minimize_terminal_general,
-    minimize_terminal_general_with, minimize_terminal_positive, nonredundant_union,
-    nonredundant_union_with, satisfiability, search_space_cost, strategy_for, strip_non_range,
-    term_class, theory_stats, union_contains, union_contains_with, union_cost, union_equivalent,
-    var_classes, BranchStats, Budget, Compiled, ConstraintTheory, Containment, CoreError,
-    DecisionCache, EmptyTheory, Engine, EngineConfig, MappingWitness, MinimizationReport,
-    Optimizer, OptimizerStats, PreparedQuery, PreparedQueryStats, PreparedSchema, Satisfiability,
+    compiled_left, contains_positive, contains_terminal, contains_terminal_full, cost_leq,
+    decide_containment, dispatch_containment, equivalent_positive, equivalent_terminal, expand,
+    expand_satisfiable, expansion_size, is_minimal_terminal_positive, is_satisfiable,
+    minimize_general, minimize_positive, minimize_positive_report, minimize_terminal_general,
+    minimize_terminal_positive, nonredundant_union, satisfiability, search_space_cost,
+    strategy_for, strip_non_range, term_class, theory_stats, union_contains, union_cost,
+    union_equivalent, var_classes, BranchStats, Budget, Compiled, ConstraintTheory, Containment,
+    CoreError, DecisionCache, EmptyTheory, Engine, EngineConfig, MappingWitness,
+    MinimizationReport, PreparedQuery, PreparedQueryStats, PreparedSchema, Satisfiability,
     SearchOrder, Side, Strategy, Theory, TheoryStats, UnsatReason, MAX_BRANCHES, MAX_CHASE_ROUNDS,
     MAX_CHASE_VARS,
 };
@@ -115,7 +112,7 @@ pub use oocq_state::{
 pub mod tutorial;
 pub mod workbench;
 
-pub use workbench::{dispatch_containment, run_program, run_workbench, WorkbenchError};
+pub use workbench::{run_program, run_workbench, WorkbenchError};
 
 /// The Chandra–Merlin relational conjunctive-query baseline.
 pub mod rel {

@@ -7,7 +7,7 @@
 //! [`EngineConfig`]; these wrappers preserve the original environment-driven
 //! API and its exact output bytes.
 
-use crate::{parse_program, CoreError, EngineConfig, ParseError, Program, Query, Schema};
+use crate::{parse_program, CoreError, EngineConfig, ParseError, Program};
 use oocq_service::RunError;
 
 /// Errors from running a workbench program.
@@ -51,12 +51,6 @@ impl From<RunError> for WorkbenchError {
     }
 }
 
-/// Containment dispatch across query shapes: §3 for terminal pairs, §4 for
-/// positive pairs, left-expansion against a terminal right side.
-pub fn dispatch_containment(s: &Schema, qa: &Query, qb: &Query) -> Result<bool, CoreError> {
-    oocq_core::dispatch_containment(s, qa, qb)
-}
-
 /// Parse and run a program, returning the rendered transcript.
 pub fn run_workbench(source: &str) -> Result<String, WorkbenchError> {
     let program = parse_program(source)?;
@@ -97,6 +91,6 @@ mod tests {
         let s = crate::parse_schema("class C {} class D : C {}").unwrap();
         let qa = crate::parse_query(&s, "{ x | x in C }").unwrap();
         let qb = crate::parse_query(&s, "{ x | exists y: x in C & y in C & x != y }").unwrap();
-        assert!(dispatch_containment(&s, &qa, &qb).is_err());
+        assert!(crate::dispatch_containment(&s, &qa, &qb).is_err());
     }
 }

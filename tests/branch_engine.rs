@@ -5,9 +5,25 @@
 
 use oocq::gen::{random_schema, random_terminal_positive, QueryParams, Rng, SchemaParams, StdRng};
 use oocq::{
-    contains_terminal_full_with, contains_terminal_with, decide_containment_with, Atom,
-    Containment, Engine, EngineConfig, Query, QueryBuilder, Schema, SearchOrder, Term,
+    Atom, Containment, CoreError, Engine, EngineConfig, PreparedQuery, PreparedSchema, Query,
+    QueryBuilder, Schema, SearchOrder, Term,
 };
+
+/// `decide` over fresh handles of `q1` and `q2`, on an engine with `cfg`.
+fn on_engine<T>(
+    schema: &Schema,
+    q1: &Query,
+    q2: &Query,
+    cfg: &EngineConfig,
+    decide: impl Fn(&Engine, &PreparedQuery, &PreparedQuery) -> Result<T, CoreError>,
+) -> Result<T, CoreError> {
+    let ps = PreparedSchema::new(schema);
+    let (p1, p2) = (
+        PreparedQuery::new(&ps, q1.clone()),
+        PreparedQuery::new(&ps, q2.clone()),
+    );
+    decide(&Engine::new(cfg.clone()), &p1, &p2)
+}
 
 fn test_schema(seed: u64) -> Schema {
     match seed % 4 {
@@ -69,8 +85,15 @@ fn full_enumeration_agrees_with_fast_paths() {
         let base2 = random_terminal_positive(&mut rng, &schema, &p);
         let q1 = add_negative_atoms(&mut rng, &schema, &base1, 1);
         let q2 = add_negative_atoms(&mut rng, &schema, &base2, (seed % 3) as usize);
-        let fast = contains_terminal_with(&schema, &q1, &q2, &EngineConfig::serial()).unwrap();
-        let full = contains_terminal_full_with(&schema, &q1, &q2, &EngineConfig::serial()).unwrap();
+        let fast = on_engine(&schema, &q1, &q2, &EngineConfig::serial(), Engine::contains).unwrap();
+        let full = on_engine(
+            &schema,
+            &q1,
+            &q2,
+            &EngineConfig::serial(),
+            Engine::contains_full,
+        )
+        .unwrap();
         assert_eq!(
             fast,
             full,
@@ -112,7 +135,7 @@ fn search_order_and_pruning_preserve_certificate_shapes() {
         let q1 = add_negative_atoms(&mut rng, &schema, &base1, (seed % 3) as usize);
         let q2 = add_negative_atoms(&mut rng, &schema, &base2, (seed % 4) as usize);
         let reference =
-            decide_containment_with(&schema, &q1, &q2, &EngineConfig::serial()).unwrap();
+            on_engine(&schema, &q1, &q2, &EngineConfig::serial(), Engine::decide).unwrap();
         let want = certificate_shape(&reference);
         let variants = [
             EngineConfig::serial().with_search_order(SearchOrder::Static),
@@ -125,7 +148,7 @@ fn search_order_and_pruning_preserve_certificate_shapes() {
                 .with_search_order(SearchOrder::Static),
         ];
         for (k, cfg) in variants.iter().enumerate() {
-            let got = decide_containment_with(&schema, &q1, &q2, cfg).unwrap();
+            let got = on_engine(&schema, &q1, &q2, cfg, Engine::decide).unwrap();
             assert_eq!(
                 want,
                 certificate_shape(&got),
@@ -269,13 +292,32 @@ fn budgets_and_deadlines_bind_pruned_and_exhaustive_walks_identically() {
 
     // Unlimited: identical certificates on both workloads (baseline).
     for q2 in [&q2_holds, &q2_fails] {
-        let p = decide_containment_with(&schema, &q1, q2, &pruned(Budget::unlimited())).unwrap();
-        let e =
-            decide_containment_with(&schema, &q1, q2, &exhaustive(Budget::unlimited())).unwrap();
+        let p = on_engine(
+            &schema,
+            &q1,
+            q2,
+            &pruned(Budget::unlimited()),
+            Engine::decide,
+        )
+        .unwrap();
+        let e = on_engine(
+            &schema,
+            &q1,
+            q2,
+            &exhaustive(Budget::unlimited()),
+            Engine::decide,
+        )
+        .unwrap();
         assert_eq!(p, e, "certificates drift without budgets");
     }
-    let reference =
-        decide_containment_with(&schema, &q1, &q2_fails, &pruned(Budget::unlimited())).unwrap();
+    let reference = on_engine(
+        &schema,
+        &q1,
+        &q2_fails,
+        &pruned(Budget::unlimited()),
+        Engine::decide,
+    )
+    .unwrap();
     assert!(!reference.holds());
 
     // A one-unit work limit: both walks trip the identical recoverable
@@ -284,7 +326,7 @@ fn budgets_and_deadlines_bind_pruned_and_exhaustive_walks_identically() {
         pruned(Budget::with_limit(1)),
         exhaustive(Budget::with_limit(1)),
     ] {
-        let err = decide_containment_with(&schema, &q1, &q2_holds, &cfg).unwrap_err();
+        let err = on_engine(&schema, &q1, &q2_holds, &cfg, Engine::decide).unwrap_err();
         assert!(
             err.to_string().starts_with("timeout"),
             "expected a recoverable timeout, got: {err}"
@@ -296,11 +338,12 @@ fn budgets_and_deadlines_bind_pruned_and_exhaustive_walks_identically() {
     // branch's refutation: the exhaustive walk still trips on the holds
     // workload at this limit...
     const MID: u64 = 512;
-    let err = decide_containment_with(
+    let err = on_engine(
         &schema,
         &q1,
         &q2_holds,
         &exhaustive(Budget::with_limit(MID)),
+        Engine::decide,
     )
     .unwrap_err();
     assert!(err.to_string().starts_with("timeout"), "got: {err}");
@@ -311,7 +354,7 @@ fn budgets_and_deadlines_bind_pruned_and_exhaustive_walks_identically() {
         pruned(Budget::with_limit(MID)),
         exhaustive(Budget::with_limit(MID)),
     ] {
-        let got = decide_containment_with(&schema, &q1, &q2_fails, &cfg).unwrap();
+        let got = on_engine(&schema, &q1, &q2_fails, &cfg, Engine::decide).unwrap();
         assert_eq!(got, reference, "refutation must outrank the budget trip");
     }
 
@@ -322,7 +365,7 @@ fn budgets_and_deadlines_bind_pruned_and_exhaustive_walks_identically() {
             pruned(Budget::with_deadline(Duration::ZERO)),
             exhaustive(Budget::with_deadline(Duration::ZERO)),
         ] {
-            let err = decide_containment_with(&schema, &q1, q2, &cfg).unwrap_err();
+            let err = on_engine(&schema, &q1, q2, &cfg, Engine::decide).unwrap_err();
             assert!(err.to_string().starts_with("timeout"), "got: {err}");
         }
     }

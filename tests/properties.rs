@@ -471,14 +471,17 @@ fn normalization_preserves_semantics() {
     }
 }
 
-/// The prepared [`oocq::Engine`] path returns verdicts identical to the
-/// free-function path across the generator workloads: terminal and general
-/// containment, equivalence, dispatch (including a non-terminal left side
-/// against a terminal right), positive containment, minimization, and
-/// satisfiable expansion.
+/// Warm against cold: one [`oocq::Engine`] over a decision cache, its
+/// handles reused across two rounds of decisions, decides exactly what the
+/// free functions do — each of which prepares fresh handles for one
+/// uncached decision. Swept over the generator workloads: terminal and
+/// general containment, equivalence, dispatch (including a non-terminal
+/// left side against a terminal right), positive containment,
+/// minimization, and satisfiable expansion.
 #[test]
 fn engine_path_matches_free_functions() {
-    let engine = oocq::Engine::serial();
+    let cache = std::sync::Arc::new(oocq::CanonicalDecisionCache::new(4096));
+    let engine = oocq::Engine::serial().with_cache(cache.clone());
     for seed in 0..48u64 {
         let schema = test_schema(seed);
         let ps = engine.prepare_schema(&schema);
@@ -494,47 +497,52 @@ fn engine_path_matches_free_functions() {
         let (pg1, pg2) = (engine.prepare(&ps, &g1), engine.prepare(&ps, &g2));
         let ppos = engine.prepare(&ps, &pos);
 
-        assert_eq!(
-            engine.contains(&pt1, &pt2).unwrap(),
-            contains_terminal(&schema, &t1, &t2).unwrap(),
-            "seed {seed}: terminal containment"
-        );
-        assert_eq!(
-            engine.contains(&pg1, &pg2).unwrap(),
-            contains_terminal(&schema, &g1, &g2).unwrap(),
-            "seed {seed}: general containment"
-        );
-        assert_eq!(
-            engine.equivalent(&pg1, &pg2).unwrap(),
-            oocq::equivalent_terminal(&schema, &g1, &g2).unwrap(),
-            "seed {seed}: equivalence"
-        );
-        assert_eq!(
-            engine.contains_positive(&ppos, &pt2).unwrap(),
-            oocq::contains_positive(&schema, &pos, &t2).unwrap(),
-            "seed {seed}: positive containment"
-        );
-        assert_eq!(
-            engine.dispatch(&ppos, &pt1).unwrap(),
-            oocq::dispatch_containment(&schema, &pos, &t1).unwrap(),
-            "seed {seed}: dispatch"
-        );
-        assert_eq!(
-            engine.minimize(&ppos),
-            minimize_positive(&schema, &pos),
-            "seed {seed}: minimization"
-        );
-        assert_eq!(
-            engine.expand_satisfiable(&ppos),
-            oocq::expand_satisfiable(&schema, &pos),
-            "seed {seed}: expansion"
-        );
-        assert_eq!(
-            engine.satisfiability(&pt1),
-            oocq::satisfiability(&schema, &t1),
-            "seed {seed}: satisfiability"
-        );
+        for round in 0..2 {
+            assert_eq!(
+                engine.contains(&pt1, &pt2).unwrap(),
+                contains_terminal(&schema, &t1, &t2).unwrap(),
+                "seed {seed}, round {round}: terminal containment"
+            );
+            assert_eq!(
+                engine.contains(&pg1, &pg2).unwrap(),
+                contains_terminal(&schema, &g1, &g2).unwrap(),
+                "seed {seed}, round {round}: general containment"
+            );
+            assert_eq!(
+                engine.equivalent(&pg1, &pg2).unwrap(),
+                oocq::equivalent_terminal(&schema, &g1, &g2).unwrap(),
+                "seed {seed}, round {round}: equivalence"
+            );
+            assert_eq!(
+                engine.contains_positive(&ppos, &pt2).unwrap(),
+                oocq::contains_positive(&schema, &pos, &t2).unwrap(),
+                "seed {seed}, round {round}: positive containment"
+            );
+            assert_eq!(
+                engine.dispatch(&ppos, &pt1).unwrap(),
+                oocq::dispatch_containment(&schema, &pos, &t1).unwrap(),
+                "seed {seed}, round {round}: dispatch"
+            );
+            assert_eq!(
+                engine.minimize(&ppos),
+                minimize_positive(&schema, &pos),
+                "seed {seed}, round {round}: minimization"
+            );
+            assert_eq!(
+                engine.expand_satisfiable(&ppos),
+                oocq::expand_satisfiable(&schema, &pos),
+                "seed {seed}, round {round}: expansion"
+            );
+            assert_eq!(
+                engine.satisfiability(&pt1),
+                oocq::satisfiability(&schema, &t1),
+                "seed {seed}, round {round}: satisfiability"
+            );
+        }
     }
+    let st = cache.stats();
+    assert!(st.contains_hits > 0, "the warm round never hit: {st:?}");
+    assert!(st.minimize_hits > 0, "the warm round never hit: {st:?}");
 }
 
 /// Reusing one [`oocq::PreparedQuery`] across 100 repeated decisions is

@@ -4,7 +4,7 @@
 
 use oocq::gen::StdRng;
 use oocq::gen::{random_schema, random_state, workload_schema, SchemaParams, StateParams};
-use oocq::{parse_schema, Optimizer, QueryBuilder};
+use oocq::{parse_schema, CanonicalDecisionCache, Engine, QueryBuilder};
 
 #[test]
 fn schema_dot_round_trips_through_generated_schemas() {
@@ -261,15 +261,18 @@ fn oocq_serve_warm_restarts_from_the_persistent_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A workload of repeated queries through one engine and its decision
+/// cache: each distinct query is minimized once, every repeat is a hit.
 #[test]
-fn optimizer_session_over_a_workload() {
+fn engine_session_over_a_workload() {
     let s = parse_schema(
         "class Vehicle {} class Auto : Vehicle {} class Truck : Vehicle {}
          class Client { R: {Vehicle}; } class Discount : Client { R: {Auto}; }",
     )
     .unwrap();
-    let mut opt = Optimizer::new(&s);
-    // A workload of repeated queries: each distinct query minimized once.
+    let cache = std::sync::Arc::new(CanonicalDecisionCache::new(256));
+    let engine = Engine::serial().with_cache(cache.clone());
+    let ps = engine.prepare_schema(&s);
     let make = |cls: &str| {
         let mut b = QueryBuilder::new("x");
         let x = b.free();
@@ -281,15 +284,14 @@ fn optimizer_session_over_a_workload() {
     };
     for _ in 0..5 {
         for cls in ["Vehicle", "Auto", "Truck"] {
-            let q = make(cls);
-            let m = opt.minimize(&q).unwrap();
+            let m = engine.minimize(&engine.prepare(&ps, &make(cls))).unwrap();
             match cls {
                 "Truck" => assert!(m.is_empty()), // unsatisfiable
                 _ => assert_eq!(m.len(), 1),
             }
         }
     }
-    let stats = opt.stats();
+    let stats = cache.stats();
     assert_eq!(stats.minimize_misses, 3);
     assert_eq!(stats.minimize_hits, 12);
 }
