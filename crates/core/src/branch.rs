@@ -248,9 +248,12 @@ impl EngineConfig {
     }
 }
 
+/// The serial engine. Reading `OOCQ_THREADS` is
+/// [`EngineConfig::from_env`]'s job alone, so a default-built engine
+/// depends on no environment variable.
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
-        EngineConfig::from_env()
+        EngineConfig::serial()
     }
 }
 
@@ -920,6 +923,11 @@ mod tests {
         );
         assert_eq!(EngineConfig::with_threads(0).threads, 1);
         assert_eq!(EngineConfig::with_threads(4).threads, 4);
+    }
+
+    #[test]
+    fn default_config_is_serial_and_ignores_the_environment() {
+        assert_eq!(EngineConfig::default().threads, 1);
     }
 
     #[test]

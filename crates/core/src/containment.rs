@@ -690,16 +690,16 @@ mod tests {
         assert!(!equivalent_under(&s, &q1, &q3, &on).unwrap());
     }
 
+    type CanonicalPair = (
+        std::sync::Arc<oocq_query::CanonicalQuery>,
+        std::sync::Arc<oocq_query::CanonicalQuery>,
+    );
+
     /// A fake cache that counts traffic and remembers puts by canonical
     /// form — enough to observe the engine consulting and feeding it.
     #[derive(Default)]
     struct CountingCache {
-        store: std::sync::Mutex<
-            std::collections::HashMap<
-                (oocq_query::CanonicalQuery, oocq_query::CanonicalQuery),
-                bool,
-            >,
-        >,
+        store: std::sync::Mutex<std::collections::HashMap<CanonicalPair, bool>>,
         gets: std::sync::atomic::AtomicUsize,
         hits: std::sync::atomic::AtomicUsize,
         puts: std::sync::atomic::AtomicUsize,

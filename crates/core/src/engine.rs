@@ -221,7 +221,7 @@ struct QueryArtifacts {
     analysis: OnceLock<QueryAnalysis>,
     classes: OnceLock<Result<Vec<ClassId>, CoreError>>,
     sat: OnceLock<Result<Satisfiability, CoreError>>,
-    canonical: OnceLock<CanonicalQuery>,
+    canonical: OnceLock<Arc<CanonicalQuery>>,
     branch: OnceLock<Result<BranchSide, CoreError>>,
     /// Satisfiable terminal expansion of the query as written (what
     /// [`crate::expand_satisfiable`] computes).
@@ -328,9 +328,10 @@ impl PreparedQuery {
     }
 
     /// The isomorphism-invariant canonical form (cache key), computed on
-    /// first use.
-    pub fn canonical_form(&self) -> &CanonicalQuery {
-        match self.try_canonical_form(&Budget::unlimited()) {
+    /// first use. It is shared: cache and flight keys hold this `Arc`
+    /// rather than a copy of the form.
+    pub fn canonical_form(&self) -> &Arc<CanonicalQuery> {
+        match self.try_shared_canonical_form(&Budget::unlimited()) {
             Ok(c) => c,
             Err(_) => unreachable!("unlimited budget never trips"),
         }
@@ -344,13 +345,22 @@ impl PreparedQuery {
     /// attempt memoizes nothing; a later call under a larger budget retries
     /// from scratch.
     pub fn try_canonical_form(&self, budget: &Budget) -> Result<&CanonicalQuery, CoreError> {
+        self.try_shared_canonical_form(budget).map(|c| &**c)
+    }
+
+    /// [`try_canonical_form`](Self::try_canonical_form), returning the
+    /// shared `Arc` a key can hold.
+    pub fn try_shared_canonical_form(
+        &self,
+        budget: &Budget,
+    ) -> Result<&Arc<CanonicalQuery>, CoreError> {
         if let Some(c) = self.inner.canonical.get() {
             return Ok(c);
         }
         let computed = canonical_form_budgeted(&self.inner.query, &mut |u| budget.charge(u))?;
         Ok(self.inner.canonical.get_or_init(|| {
             self.inner.builds.canonical.fetch_add(1, Ordering::Relaxed);
-            computed
+            Arc::new(computed)
         }))
     }
 

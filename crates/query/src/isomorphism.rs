@@ -11,49 +11,207 @@
 use crate::atom::Atom;
 use crate::query::Query;
 use crate::term::VarId;
-use std::collections::BTreeMap;
+use oocq_schema::{AttrId, ClassId};
 
-/// A cheap per-variable invariant: how the variable participates in each
-/// kind of atom. Distinct signatures can never map to one another. Shared
-/// with [`crate::canonical`], which refines these into a canonical labeling.
-pub(crate) fn signatures(q: &Query) -> Vec<BTreeMap<String, usize>> {
-    let mut sig: Vec<BTreeMap<String, usize>> = vec![BTreeMap::new(); q.var_count()];
-    let mut bump = |v: VarId, key: String| {
-        *sig[v.index()].entry(key).or_insert(0) += 1;
-    };
-    for a in q.atoms() {
+/// Byte keys written once per query and interned to dense `u32` ranks in
+/// byte order.
+///
+/// Each key is spelled exactly as the `Debug`-formatted string of the
+/// string-keyed reference labeler (`"member-of:AttrId(3)"`,
+/// `"r:[ClassId(12), ClassId(3)]"`), which fixes the canonical forms, but
+/// by a hand-written writer into one byte buffer. Ranking the keys by byte
+/// slice then reproduces the string order — including quirks such as
+/// `ClassId(12)` sorting before `ClassId(3)` — without a `String` per key.
+pub(crate) struct KeyArena {
+    bytes: Vec<u8>,
+    /// End offset of each closed key; key `i` starts where key `i - 1`
+    /// ends.
+    ends: Vec<u32>,
+}
+
+impl KeyArena {
+    /// An arena sized for the keys of `atoms` atoms.
+    pub(crate) fn for_atoms(atoms: usize) -> KeyArena {
+        KeyArena {
+            bytes: Vec::with_capacity(64 * atoms + 32),
+            ends: Vec::with_capacity(4 * atoms + 8),
+        }
+    }
+
+    /// Append `s` verbatim.
+    pub(crate) fn str(&mut self, s: &str) -> &mut Self {
+        self.bytes.extend_from_slice(s.as_bytes());
+        self
+    }
+
+    /// Decimal digits of `n`, as `{n}` would print them.
+    pub(crate) fn dec(&mut self, mut n: usize) -> &mut Self {
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.bytes.extend_from_slice(&buf[i..]);
+        self
+    }
+
+    /// `{a:?}`: `AttrId(3)`.
+    pub(crate) fn attr(&mut self, a: AttrId) -> &mut Self {
+        self.str("AttrId(").dec(a.index()).str(")")
+    }
+
+    /// `{a:?}` of an `Option<AttrId>`: `None` or `Some(AttrId(3))`.
+    pub(crate) fn opt_attr(&mut self, a: Option<AttrId>) -> &mut Self {
         match a {
-            Atom::Range(v, cs) => bump(*v, format!("range:{cs:?}")),
-            Atom::NonRange(v, cs) => bump(*v, format!("nonrange:{cs:?}")),
+            None => self.str("None"),
+            Some(a) => self.str("Some(").attr(a).str(")"),
+        }
+    }
+
+    /// `{cs:?}` of a class list: `[ClassId(1), ClassId(2)]`.
+    pub(crate) fn classes(&mut self, cs: &[ClassId]) -> &mut Self {
+        self.str("[");
+        for (i, c) in cs.iter().enumerate() {
+            if i > 0 {
+                self.str(", ");
+            }
+            self.str("ClassId(").dec(c.index()).str(")");
+        }
+        self.str("]")
+    }
+
+    /// Close the key written since the previous `end` and return its index.
+    pub(crate) fn end(&mut self) -> u32 {
+        self.ends.push(self.bytes.len() as u32);
+        (self.ends.len() - 1) as u32
+    }
+
+    /// Drop every key, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+
+    /// The index the next closed key will get.
+    pub(crate) fn next_key(&self) -> u32 {
+        self.ends.len() as u32
+    }
+
+    /// The dense rank of every closed key in byte order; equal keys share a
+    /// rank.
+    pub(crate) fn ranks(&self) -> Vec<u32> {
+        let mut keys: Vec<(&[u8], u32)> = Vec::with_capacity(self.ends.len());
+        let mut start = 0;
+        for (i, &end) in self.ends.iter().enumerate() {
+            keys.push((&self.bytes[start..end as usize], i as u32));
+            start = end as usize;
+        }
+        keys.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut ranks = vec![0; keys.len()];
+        let mut rank = 0;
+        for (pos, &(key, i)) in keys.iter().enumerate() {
+            if pos > 0 && key != keys[pos - 1].0 {
+                rank += 1;
+            }
+            ranks[i as usize] = rank;
+        }
+        ranks
+    }
+}
+
+/// The atoms of `q` sorted and deduplicated, borrowed rather than cloned:
+/// what [`Query::dedup_atoms`] would leave, without copying the query.
+pub(crate) fn dedup_atoms(q: &Query) -> Vec<&Atom> {
+    let mut atoms: Vec<&Atom> = q.atoms().iter().collect();
+    atoms.sort_unstable();
+    atoms.dedup();
+    atoms
+}
+
+/// Write the signature key of every (atom, variable) incidence into `keys`
+/// and record `(variable, key)` pairs in `out`. A signature is a cheap
+/// per-variable invariant — how the variable participates in each kind of
+/// atom — so distinct signatures can never map to one another. Shared with
+/// [`crate::canonical`], which refines these into a canonical labeling.
+pub(crate) fn signature_keys(atoms: &[&Atom], keys: &mut KeyArena, out: &mut Vec<(u32, u32)>) {
+    let mut push = |v: VarId, key: u32| out.push((v.index() as u32, key));
+    for a in atoms {
+        match a {
+            Atom::Range(v, cs) => push(*v, keys.str("range:").classes(cs).end()),
+            Atom::NonRange(v, cs) => push(*v, keys.str("nonrange:").classes(cs).end()),
             Atom::Eq(s, t) | Atom::Neq(s, t) => {
                 let kind = if matches!(a, Atom::Eq(..)) {
-                    "eq"
+                    "eq:"
                 } else {
-                    "neq"
+                    "neq:"
                 };
                 for (side, other) in [(s, t), (t, s)] {
-                    let shape = match (side, other) {
-                        (crate::term::Term::Var(v), o) => {
-                            (*v, format!("{kind}:var-vs-{:?}", o.attr()))
-                        }
-                        (crate::term::Term::Attr(v, at), o) => {
-                            (*v, format!("{kind}:attr{:?}-vs-{:?}", at, o.attr()))
-                        }
+                    keys.str(kind);
+                    match side.attr() {
+                        None => keys.str("var"),
+                        Some(at) => keys.str("attr").attr(at),
                     };
-                    bump(shape.0, shape.1);
+                    push(side.var(), keys.str("-vs-").opt_attr(other.attr()).end());
                 }
             }
             Atom::Member(x, y, at) => {
-                bump(*x, format!("member-of:{at:?}"));
-                bump(*y, format!("member-owner:{at:?}"));
+                push(*x, keys.str("member-of:").attr(*at).end());
+                push(*y, keys.str("member-owner:").attr(*at).end());
             }
             Atom::NonMember(x, y, at) => {
-                bump(*x, format!("nonmember-of:{at:?}"));
-                bump(*y, format!("nonmember-owner:{at:?}"));
+                push(*x, keys.str("nonmember-of:").attr(*at).end());
+                push(*y, keys.str("nonmember-owner:").attr(*at).end());
             }
         }
     }
-    sig
+}
+
+/// Per-variable signatures: the sorted `(key rank, count)` runs of each
+/// variable's incidences. Runs compare exactly like the
+/// `BTreeMap<key string, count>` they encode, because key ranks follow the
+/// key strings' order.
+pub(crate) struct Signatures {
+    runs: Vec<(u32, u32)>,
+    /// `runs[start[v]..start[v + 1]]` belong to variable `v`.
+    start: Vec<u32>,
+}
+
+impl Signatures {
+    /// Group `incidences` (from [`signature_keys`]) of a query with
+    /// `var_count` variables, ranking keys through `ranks`.
+    pub(crate) fn of(var_count: usize, incidences: &[(u32, u32)], ranks: &[u32]) -> Signatures {
+        let mut sorted: Vec<(u32, u32)> = incidences
+            .iter()
+            .map(|&(v, key)| (v, ranks[key as usize]))
+            .collect();
+        sorted.sort_unstable();
+        let mut runs: Vec<(u32, u32)> = Vec::with_capacity(sorted.len());
+        let mut start = vec![0u32; var_count + 1];
+        let mut prev: Option<(u32, u32)> = None;
+        for &(v, rank) in &sorted {
+            if prev == Some((v, rank)) {
+                runs.last_mut().expect("a run is open").1 += 1;
+            } else {
+                runs.push((rank, 1));
+                start[v as usize + 1] = runs.len() as u32;
+            }
+            prev = Some((v, rank));
+        }
+        // Variables without incidences own an empty slice.
+        for v in 0..var_count {
+            start[v + 1] = start[v + 1].max(start[v]);
+        }
+        Signatures { runs, start }
+    }
+
+    pub(crate) fn of_var(&self, v: usize) -> &[(u32, u32)] {
+        &self.runs[self.start[v] as usize..self.start[v + 1] as usize]
+    }
 }
 
 pub(crate) fn normalized_atoms(q: &Query, map: &[VarId]) -> Vec<Atom> {
@@ -81,16 +239,19 @@ pub fn find_isomorphism(a: &Query, b: &Query) -> Option<Vec<VarId>> {
     if a.var_count() != b.var_count() {
         return None;
     }
-    // Duplicate atoms must not break the comparison: normalize both sides.
-    let (mut a, mut b) = (a.clone(), b.clone());
-    a.dedup_atoms();
-    b.dedup_atoms();
-    let (a, b) = (&a, &b);
-    if a.atoms().len() != b.atoms().len() {
+    // Duplicate atoms must not break the comparison: count distinct atoms.
+    let (a_atoms, b_atoms) = (dedup_atoms(a), dedup_atoms(b));
+    if a_atoms.len() != b_atoms.len() {
         return None;
     }
-    let sig_a = signatures(a);
-    let sig_b = signatures(b);
+    // One arena for both sides, so equal keys share a rank across queries.
+    let mut keys = KeyArena::for_atoms(a_atoms.len() + b_atoms.len());
+    let (mut inc_a, mut inc_b) = (Vec::new(), Vec::new());
+    signature_keys(&a_atoms, &mut keys, &mut inc_a);
+    signature_keys(&b_atoms, &mut keys, &mut inc_b);
+    let ranks = keys.ranks();
+    let sig_a = Signatures::of(a.var_count(), &inc_a, &ranks);
+    let sig_b = Signatures::of(b.var_count(), &inc_b, &ranks);
     let identity: Vec<VarId> = b.vars().collect();
     let b_atoms = normalized_atoms(b, &identity);
 
@@ -99,7 +260,7 @@ pub fn find_isomorphism(a: &Query, b: &Query) -> Option<Vec<VarId>> {
     let mut used = vec![false; n];
     map[a.free_var().index()] = Some(b.free_var());
     used[b.free_var().index()] = true;
-    if sig_a[a.free_var().index()] != sig_b[b.free_var().index()] {
+    if sig_a.of_var(a.free_var().index()) != sig_b.of_var(b.free_var().index()) {
         return None;
     }
 
@@ -109,8 +270,8 @@ pub fn find_isomorphism(a: &Query, b: &Query) -> Option<Vec<VarId>> {
     fn recurse(
         a: &Query,
         b_atoms: &[Atom],
-        sig_a: &[BTreeMap<String, usize>],
-        sig_b: &[BTreeMap<String, usize>],
+        sig_a: &Signatures,
+        sig_b: &Signatures,
         map: &mut Vec<Option<VarId>>,
         used: &mut Vec<bool>,
         next: usize,
@@ -125,7 +286,7 @@ pub fn find_isomorphism(a: &Query, b: &Query) -> Option<Vec<VarId>> {
             return normalized_atoms(a, &full) == b_atoms;
         }
         for cand in 0..n {
-            if used[cand] || sig_a[ix] != sig_b[cand] {
+            if used[cand] || sig_a.of_var(ix) != sig_b.of_var(cand) {
                 continue;
             }
             map[ix] = Some(VarId::from_index(cand));

@@ -100,8 +100,9 @@ struct ContainsKey {
     /// separately so constrained and unconstrained verdicts can never
     /// collide even if fingerprint rendering changes.
     theory: Arc<str>,
-    q1: CanonicalQuery,
-    q2: CanonicalQuery,
+    /// Canonical forms, shared with the query handles that labeled them.
+    q1: Arc<CanonicalQuery>,
+    q2: Arc<CanonicalQuery>,
 }
 
 impl ContainsKey {
@@ -243,7 +244,10 @@ pub struct PersistStats {
 /// Mutable half of the persistent tier, under one mutex: the verdict
 /// index (what's on disk, last record wins) and the append handle.
 struct Tier2State {
-    index: HashMap<ContainsKey, bool>,
+    /// Keys are boxed so a bucket is a pointer and a flag: the table's
+    /// doublings then move 16-byte buckets, not whole keys. Lookups borrow
+    /// a `&ContainsKey` through `Arc`'s `Borrow`.
+    index: HashMap<Arc<ContainsKey>, bool>,
     writer: persist::LogWriter,
     /// Log records no longer reachable through `index` (superseded,
     /// stale-versioned, or corrupt). Drives compaction.
@@ -310,7 +314,7 @@ impl Tier2 {
         }
         let _ = st.writer.append(&record_of(key, holds));
         self.appended.fetch_add(1, Relaxed);
-        st.index.insert(key.clone(), holds);
+        st.index.insert(Arc::new(key.clone()), holds);
         if st.dead > (st.index.len() as u64).max(COMPACT_MIN_DEAD) {
             self.compact(&mut st);
         }
@@ -452,10 +456,10 @@ impl CanonicalDecisionCache {
                 version: ENGINE_CACHE_VERSION,
                 schema: intern(rec.schema),
                 theory: intern(rec.theory),
-                q1,
-                q2,
+                q1: Arc::new(q1),
+                q2: Arc::new(q2),
             };
-            if st.index.insert(key.clone(), rec.holds).is_some() {
+            if st.index.insert(Arc::new(key.clone()), rec.holds).is_some() {
                 // A later record for the same key: the log held a dupe.
                 st.dead += 1;
             } else if st.index.len() > t2.cap {
@@ -723,8 +727,8 @@ mod tests {
             version: ENGINE_CACHE_VERSION + 1,
             schema: Arc::from(s.to_string().as_str()),
             theory: s.constraints_text().clone(),
-            q1: canonical_form(&q),
-            q2: canonical_form(&q),
+            q1: Arc::new(canonical_form(&q)),
+            q2: Arc::new(canonical_form(&q)),
         };
         assert_eq!(cache.contains.get(&stale, &cache.clock), None);
         let current = ContainsKey {

@@ -435,11 +435,11 @@ impl ServiceEngine {
                     return Ok(None);
                 };
                 let c1 = p1
-                    .try_canonical_form(budget)
+                    .try_shared_canonical_form(budget)
                     .map_err(|e| e.to_string())?
                     .clone();
                 let c2 = p2
-                    .try_canonical_form(budget)
+                    .try_shared_canonical_form(budget)
                     .map_err(|e| e.to_string())?
                     .clone();
                 Ok(Some(if matches!(req, Request::Contains { .. }) {

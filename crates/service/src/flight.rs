@@ -38,9 +38,9 @@ pub enum FlightKey {
         /// constrained and unconstrained decisions never coalesce.
         theory: Arc<str>,
         /// Canonical form of the left query.
-        q1: CanonicalQuery,
+        q1: Arc<CanonicalQuery>,
         /// Canonical form of the right query.
-        q2: CanonicalQuery,
+        q2: Arc<CanonicalQuery>,
     },
     /// `equiv` keyed up to isomorphism of both sides.
     Equivalent {
@@ -49,9 +49,9 @@ pub enum FlightKey {
         /// The schema's theory fingerprint (see [`FlightKey::Contains`]).
         theory: Arc<str>,
         /// Canonical form of the left query.
-        q1: CanonicalQuery,
+        q1: Arc<CanonicalQuery>,
         /// Canonical form of the right query.
-        q2: CanonicalQuery,
+        q2: Arc<CanonicalQuery>,
     },
     /// `minimize` keyed by the *exact* rendered query — its output carries
     /// the user's variable names (same rule as the cache).
@@ -234,7 +234,7 @@ mod tests {
         let mut b = oocq_query::QueryBuilder::new("x");
         let x = b.free();
         b.range(x, [c]);
-        let q = canonical_form(&b.build());
+        let q = Arc::new(canonical_form(&b.build()));
         let schema: Arc<str> = Arc::from("class C {}");
         let contains = FlightKey::Contains {
             schema: schema.clone(),
