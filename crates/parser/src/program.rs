@@ -22,7 +22,7 @@
 //! The `oocq_cli` example executes these programs.
 
 use crate::error::ParseError;
-use crate::lexer::{lex, Spanned, Tok};
+use crate::lexer::{Cursor, Tok};
 use crate::query_parser::parse_query;
 use crate::schema_parser::parse_schema;
 use oocq_query::Query;
@@ -69,172 +69,86 @@ impl Program {
 /// Split the raw text around the `schema { … }` block and per-line
 /// constructs, then delegate to the schema/query parsers.
 pub fn parse_program(input: &str) -> Result<Program, ParseError> {
-    let toks = lex(input)?;
-    let mut pos = 0usize;
+    Cursor::parse(input, |cur| program(input, cur))
+}
 
-    let ident = |t: &Spanned| -> Option<String> {
-        match &t.tok {
-            Tok::Ident(s) => Some(s.clone()),
-            _ => None,
-        }
-    };
-
+fn program<'a>(input: &'a str, cur: &mut Cursor<'a>) -> Result<Program, ParseError> {
     // `schema { … }` must come first; find its balanced brace extent and
     // re-parse that slice of the original text with the schema parser.
-    let Some(kw) = toks.get(pos) else {
-        return Err(ParseError::new(1, 1, "empty program"));
+    let kw = cur.next();
+    if kw.tok != Tok::Ident("schema") {
+        return Err(kw.error("a program must start with `schema { … }`"));
+    }
+    let brace = cur.peek();
+    if brace.tok != Tok::LBrace {
+        return Err(brace.error("expected `{` after `schema`"));
+    }
+    let Some((open, close)) = cur.balanced() else {
+        return Err(kw.error("unterminated schema block"));
     };
-    if ident(kw).as_deref() != Some("schema") {
-        return Err(ParseError::new(
-            kw.line,
-            kw.col,
-            "a program must start with `schema { … }`",
-        ));
-    }
-    pos += 1;
-    if toks[pos].tok != Tok::LBrace {
-        return Err(ParseError::new(
-            toks[pos].line,
-            toks[pos].col,
-            "expected `{` after `schema`",
-        ));
-    }
-    // Balanced-brace scan over the token stream.
-    let mut depth = 0usize;
-    let open_ix = pos;
-    let mut close_ix = pos;
-    for (ix, t) in toks.iter().enumerate().skip(pos) {
-        match t.tok {
-            Tok::LBrace => depth += 1,
-            Tok::RBrace => {
-                depth -= 1;
-                if depth == 0 {
-                    close_ix = ix;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    if depth != 0 || close_ix == open_ix {
-        return Err(ParseError::new(
-            kw.line,
-            kw.col,
-            "unterminated schema block",
-        ));
-    }
-    // Recover the source slice between the braces by line/col arithmetic.
-    let schema_src = slice_between(input, &toks[open_ix], &toks[close_ix]);
-    let schema = parse_schema(schema_src)?;
-    pos = close_ix + 1;
+    let schema = parse_schema(&input[open.offset + 1..close.offset])?;
 
     let mut queries: Vec<(String, Query)> = Vec::new();
     let mut commands: Vec<Command> = Vec::new();
-    while toks[pos].tok != Tok::Eof {
-        let t = &toks[pos];
-        let Some(word) = ident(t) else {
-            return Err(ParseError::new(
-                t.line,
-                t.col,
-                format!(
-                    "expected a declaration or command, found {}",
-                    t.tok.describe()
-                ),
-            ));
+    while cur.peek().tok != Tok::Eof {
+        let t = cur.next();
+        let Tok::Ident(word) = t.tok else {
+            return Err(t.error(format!(
+                "expected a declaration or command, found {}",
+                t.tok.describe()
+            )));
         };
-        pos += 1;
-        match word.as_str() {
+        match word {
             "query" => {
-                let name = expect_ident(&toks, &mut pos)?;
-                expect(&toks, &mut pos, &Tok::Eq)?;
+                let (name, _) = cur.ident()?;
+                cur.expect(Tok::Eq)?;
                 // The query body is a balanced `{ … }` block.
-                if toks[pos].tok != Tok::LBrace {
-                    return Err(ParseError::new(
-                        toks[pos].line,
-                        toks[pos].col,
-                        "expected `{` starting the query body",
-                    ));
+                let body = cur.peek();
+                if body.tok != Tok::LBrace {
+                    return Err(body.error("expected `{` starting the query body"));
                 }
-                let open = pos;
-                let mut depth = 0usize;
-                let mut close = pos;
-                for (ix, t) in toks.iter().enumerate().skip(pos) {
-                    match t.tok {
-                        Tok::LBrace => depth += 1,
-                        Tok::RBrace => {
-                            depth -= 1;
-                            if depth == 0 {
-                                close = ix;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
+                let Some((open, close)) = cur.balanced() else {
+                    return Err(body.error("unterminated query body"));
+                };
+                let q = parse_query(&schema, &input[open.offset..=close.offset])?;
+                if queries.iter().any(|(n, _)| n == name) {
+                    return Err(t.error(format!("query `{name}` defined twice")));
                 }
-                if depth != 0 {
-                    return Err(ParseError::new(
-                        toks[open].line,
-                        toks[open].col,
-                        "unterminated query body",
-                    ));
-                }
-                let body = slice_spanning(input, &toks[open], &toks[close]);
-                let q = parse_query(&schema, body)?;
-                if queries.iter().any(|(n, _)| n == &name) {
-                    return Err(ParseError::new(
-                        t.line,
-                        t.col,
-                        format!("query `{name}` defined twice"),
-                    ));
-                }
-                queries.push((name, q));
-                pos = close + 1;
+                queries.push((name.to_owned(), q));
             }
             "satisfiable" => {
-                commands.push(Command::Satisfiable(expect_known_query(
-                    &toks, &mut pos, &queries,
-                )?));
+                commands.push(Command::Satisfiable(known_query(cur, &queries)?));
             }
             "expand" => {
-                commands.push(Command::Expand(expect_known_query(
-                    &toks, &mut pos, &queries,
-                )?));
+                commands.push(Command::Expand(known_query(cur, &queries)?));
             }
             "minimize" => {
-                commands.push(Command::Minimize(expect_known_query(
-                    &toks, &mut pos, &queries,
-                )?));
+                commands.push(Command::Minimize(known_query(cur, &queries)?));
             }
             "check" | "explain" => {
-                let a = expect_known_query(&toks, &mut pos, &queries)?;
-                let op = toks[pos].clone();
-                pos += 1;
-                let b = expect_known_query(&toks, &mut pos, &queries)?;
-                let cmd = match (&op.tok, word.as_str()) {
+                let a = known_query(cur, &queries)?;
+                let op = cur.next();
+                let op_error = || {
+                    op.error(format!(
+                        "expected `<=`{} after `{word}`, found {}",
+                        if word == "check" { " or `==`" } else { "" },
+                        op.tok.describe()
+                    ))
+                };
+                // The right operand is read before a wrong operator is
+                // reported, unless there is no right operand at all.
+                if op.tok == Tok::Eof {
+                    return Err(op_error());
+                }
+                let b = known_query(cur, &queries)?;
+                commands.push(match (op.tok, word) {
                     (Tok::Le, "check") => Command::CheckContains(a, b),
                     (Tok::EqEq, "check") => Command::CheckEquivalent(a, b),
                     (Tok::Le, "explain") => Command::Explain(a, b),
-                    _ => {
-                        return Err(ParseError::new(
-                            op.line,
-                            op.col,
-                            format!(
-                                "expected `<=`{} after `{word}`, found {}",
-                                if word == "check" { " or `==`" } else { "" },
-                                op.tok.describe()
-                            ),
-                        ))
-                    }
-                };
-                commands.push(cmd);
+                    _ => return Err(op_error()),
+                });
             }
-            other => {
-                return Err(ParseError::new(
-                    t.line,
-                    t.col,
-                    format!("unknown directive `{other}`"),
-                ))
-            }
+            other => return Err(t.error(format!("unknown directive `{other}`"))),
         }
     }
     Ok(Program {
@@ -244,82 +158,13 @@ pub fn parse_program(input: &str) -> Result<Program, ParseError> {
     })
 }
 
-fn expect(toks: &[Spanned], pos: &mut usize, want: &Tok) -> Result<(), ParseError> {
-    let t = &toks[*pos];
-    if &t.tok == want {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(ParseError::new(
-            t.line,
-            t.col,
-            format!("expected {}, found {}", want.describe(), t.tok.describe()),
-        ))
+/// Consume the name of an already-defined query.
+fn known_query(cur: &mut Cursor<'_>, queries: &[(String, Query)]) -> Result<String, ParseError> {
+    let (name, at) = cur.ident()?;
+    if !queries.iter().any(|(n, _)| n == name) {
+        return Err(at.error(format!("unknown query `{name}`")));
     }
-}
-
-fn expect_ident(toks: &[Spanned], pos: &mut usize) -> Result<String, ParseError> {
-    let t = &toks[*pos];
-    match &t.tok {
-        Tok::Ident(s) => {
-            *pos += 1;
-            Ok(s.clone())
-        }
-        other => Err(ParseError::new(
-            t.line,
-            t.col,
-            format!("expected an identifier, found {}", other.describe()),
-        )),
-    }
-}
-
-fn expect_known_query(
-    toks: &[Spanned],
-    pos: &mut usize,
-    queries: &[(String, Query)],
-) -> Result<String, ParseError> {
-    let t = &toks[*pos];
-    let name = expect_ident(toks, pos)?;
-    if !queries.iter().any(|(n, _)| n == &name) {
-        return Err(ParseError::new(
-            t.line,
-            t.col,
-            format!("unknown query `{name}`"),
-        ));
-    }
-    Ok(name)
-}
-
-/// The source text strictly between two tokens (exclusive of both).
-fn slice_between<'a>(input: &'a str, open: &Spanned, close: &Spanned) -> &'a str {
-    let start = offset_of(input, open.line, open.col) + 1; // past `{`
-    let end = offset_of(input, close.line, close.col);
-    &input[start..end]
-}
-
-/// The source text spanning two tokens (inclusive of both).
-fn slice_spanning<'a>(input: &'a str, open: &Spanned, close: &Spanned) -> &'a str {
-    let start = offset_of(input, open.line, open.col);
-    let end = offset_of(input, close.line, close.col) + 1; // include `}`
-    &input[start..end]
-}
-
-/// Byte offset of a 1-based line/column position.
-fn offset_of(input: &str, line: usize, col: usize) -> usize {
-    let mut cur_line = 1usize;
-    let mut cur_col = 1usize;
-    for (ix, c) in input.char_indices() {
-        if cur_line == line && cur_col == col {
-            return ix;
-        }
-        if c == '\n' {
-            cur_line += 1;
-            cur_col = 1;
-        } else {
-            cur_col += 1;
-        }
-    }
-    input.len()
+    Ok(name.to_owned())
 }
 
 #[cfg(test)]

@@ -21,131 +21,74 @@
 //! ```
 
 use crate::error::ParseError;
-use crate::lexer::{lex, Spanned, Tok};
+use crate::lexer::{Cursor, Spanned, Tok};
 use oocq_schema::{AttrType, Constraint, Schema, SchemaBuilder, SchemaError};
 
-struct Cursor {
-    toks: Vec<Spanned>,
-    pos: usize,
+/// A name and the token it was read from.
+type Name<'a> = (&'a str, Spanned<'a>);
+
+struct RawClass<'a> {
+    name: Name<'a>,
+    parents: Vec<Name<'a>>,
+    attrs: Vec<(Name<'a>, RawType<'a>)>,
 }
 
-impl Cursor {
-    fn peek(&self) -> &Spanned {
-        &self.toks[self.pos]
-    }
-    fn next(&mut self) -> Spanned {
-        let t = self.toks[self.pos].clone();
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
-        }
-        t
-    }
-    fn expect(&mut self, want: &Tok) -> Result<Spanned, ParseError> {
-        let t = self.next();
-        if &t.tok == want {
-            Ok(t)
-        } else {
-            Err(ParseError::new(
-                t.line,
-                t.col,
-                format!("expected {}, found {}", want.describe(), t.tok.describe()),
-            ))
-        }
-    }
-    fn ident(&mut self) -> Result<(String, usize, usize), ParseError> {
-        let t = self.next();
-        match t.tok {
-            Tok::Ident(s) => Ok((s, t.line, t.col)),
-            other => Err(ParseError::new(
-                t.line,
-                t.col,
-                format!("expected an identifier, found {}", other.describe()),
-            )),
-        }
-    }
-    fn eat(&mut self, want: &Tok) -> bool {
-        if &self.peek().tok == want {
-            self.next();
-            true
-        } else {
-            false
-        }
-    }
-}
-
-struct RawClass {
-    name: String,
-    line: usize,
-    col: usize,
-    parents: Vec<(String, usize, usize)>,
-    attrs: Vec<(String, RawType, usize, usize)>,
-}
-
-enum RawType {
-    Object(String),
-    SetOf(String),
+enum RawType<'a> {
+    Object(&'a str),
+    SetOf(&'a str),
 }
 
 /// One `constraint …` declaration before name resolution.
-enum RawConstraint {
-    Disjoint(String, String),
-    Total(String, String),
-    Functional(String, String),
+enum RawConstraint<'a> {
+    Disjoint(&'a str, &'a str),
+    Total(&'a str, &'a str),
+    Functional(&'a str, &'a str),
 }
 
 /// Parse a schema from the DSL.
 pub fn parse_schema(input: &str) -> Result<Schema, ParseError> {
-    let mut cur = Cursor {
-        toks: lex(input)?,
-        pos: 0,
-    };
-    let mut raw: Vec<RawClass> = Vec::new();
-    let mut raw_constraints: Vec<(RawConstraint, usize, usize)> = Vec::new();
-    loop {
-        if cur.peek().tok == Tok::Eof {
-            break;
-        }
-        let (kw, line, col) = cur.ident()?;
+    Cursor::parse(input, schema)
+}
+
+fn schema(cur: &mut Cursor<'_>) -> Result<Schema, ParseError> {
+    let mut raw: Vec<RawClass<'_>> = Vec::new();
+    let mut raw_constraints: Vec<(RawConstraint<'_>, Spanned<'_>)> = Vec::new();
+    while cur.peek().tok != Tok::Eof {
+        let (kw, at) = cur.ident()?;
         if kw == "constraint" {
-            raw_constraints.push(parse_constraint(&mut cur, line, col)?);
+            raw_constraints.push((parse_constraint(cur)?, at));
             continue;
         }
         if kw != "class" {
-            return Err(ParseError::new(
-                line,
-                col,
-                format!("expected `class` or `constraint`, found `{kw}`"),
-            ));
+            return Err(at.error(format!("expected `class` or `constraint`, found `{kw}`")));
         }
-        let (name, nline, ncol) = cur.ident()?;
+        let name = cur.ident()?;
         let mut parents = Vec::new();
-        if cur.eat(&Tok::Colon) {
+        if cur.eat(Tok::Colon) {
             loop {
                 parents.push(cur.ident()?);
-                if !cur.eat(&Tok::Comma) {
+                if !cur.eat(Tok::Comma) {
                     break;
                 }
             }
         }
-        cur.expect(&Tok::LBrace)?;
+        cur.expect(Tok::LBrace)?;
         let mut attrs = Vec::new();
-        while !cur.eat(&Tok::RBrace) {
-            let (attr, aline, acol) = cur.ident()?;
-            cur.expect(&Tok::Colon)?;
-            let ty = if cur.eat(&Tok::LBrace) {
-                let (c, ..) = cur.ident()?;
-                cur.expect(&Tok::RBrace)?;
+        while !cur.eat(Tok::RBrace) {
+            let attr = cur.ident()?;
+            cur.expect(Tok::Colon)?;
+            let ty = if cur.eat(Tok::LBrace) {
+                let (c, _) = cur.ident()?;
+                cur.expect(Tok::RBrace)?;
                 RawType::SetOf(c)
             } else {
                 RawType::Object(cur.ident()?.0)
             };
-            cur.eat(&Tok::Semi);
-            attrs.push((attr, ty, aline, acol));
+            cur.eat(Tok::Semi);
+            attrs.push((attr, ty));
         }
         raw.push(RawClass {
             name,
-            line: nline,
-            col: ncol,
             parents,
             attrs,
         });
@@ -154,73 +97,68 @@ pub fn parse_schema(input: &str) -> Result<Schema, ParseError> {
     // Two-pass build: declare all classes, then edges and attributes.
     let mut b = SchemaBuilder::new();
     for rc in &raw {
-        b.class(&rc.name)
-            .map_err(|e| schema_err(rc.line, rc.col, e))?;
+        let (name, at) = rc.name;
+        b.class(name).map_err(|e| schema_err(at, e))?;
     }
     for rc in &raw {
-        let child = b.class_id(&rc.name).expect("declared above");
-        for (p, pline, pcol) in &rc.parents {
+        let child = b.class_id(rc.name.0).expect("declared above");
+        for &(p, at) in &rc.parents {
             let parent = b
                 .class_id(p)
-                .ok_or_else(|| ParseError::new(*pline, *pcol, format!("unknown class `{p}`")))?;
-            b.subclass(child, parent)
-                .map_err(|e| schema_err(*pline, *pcol, e))?;
+                .ok_or_else(|| at.error(format!("unknown class `{p}`")))?;
+            b.subclass(child, parent).map_err(|e| schema_err(at, e))?;
         }
-        for (attr, ty, aline, acol) in &rc.attrs {
-            let resolve = |n: &String| {
+        for &((attr, at), ref ty) in &rc.attrs {
+            let resolve = |n: &str| {
                 b.class_id(n)
-                    .ok_or_else(|| ParseError::new(*aline, *acol, format!("unknown class `{n}`")))
+                    .ok_or_else(|| at.error(format!("unknown class `{n}`")))
             };
-            let at = match ty {
+            let ty = match *ty {
                 RawType::Object(n) => AttrType::Object(resolve(n)?),
                 RawType::SetOf(n) => AttrType::SetOf(resolve(n)?),
             };
-            b.attribute(child, attr, at)
-                .map_err(|e| schema_err(*aline, *acol, e))?;
+            b.attribute(child, attr, ty)
+                .map_err(|e| schema_err(at, e))?;
         }
     }
     let mut finish_at = (1, 1);
-    for (rc, line, col) in &raw_constraints {
-        let class = |n: &String| {
+    for &(ref rc, at) in &raw_constraints {
+        let class = |n: &str| {
             b.class_id(n)
-                .ok_or_else(|| ParseError::new(*line, *col, format!("unknown class `{n}`")))
+                .ok_or_else(|| at.error(format!("unknown class `{n}`")))
         };
-        let attr = |b: &SchemaBuilder, n: &String| {
+        let attr = |b: &SchemaBuilder, n: &str| {
             b.attr_id(n)
-                .ok_or_else(|| ParseError::new(*line, *col, format!("unknown attribute `{n}`")))
+                .ok_or_else(|| at.error(format!("unknown attribute `{n}`")))
         };
-        let c = match rc {
+        let c = match *rc {
             RawConstraint::Disjoint(x, y) => Constraint::Disjoint(class(x)?, class(y)?),
-            RawConstraint::Total(cl, at) => Constraint::Total(class(cl)?, attr(&b, at)?),
-            RawConstraint::Functional(cl, at) => Constraint::Functional(class(cl)?, attr(&b, at)?),
+            RawConstraint::Total(cl, a) => Constraint::Total(class(cl)?, attr(&b, a)?),
+            RawConstraint::Functional(cl, a) => Constraint::Functional(class(cl)?, attr(&b, a)?),
         };
         b.constraint(c);
         // Constraint validation happens inside `finish`; attribute its
         // errors to the last constraint's position rather than line 1.
-        finish_at = (*line, *col);
+        finish_at = (at.line, at.col);
     }
     b.finish()
-        .map_err(|e| schema_err(finish_at.0, finish_at.1, e))
+        .map_err(|e| ParseError::new(finish_at.0, finish_at.1, e.to_string()))
 }
 
 /// Parse the tail of one `constraint` declaration (the keyword itself is
 /// already consumed): `disjoint A B;`, `total C.A;`, or `functional C.A;`.
-fn parse_constraint(
-    cur: &mut Cursor,
-    line: usize,
-    col: usize,
-) -> Result<(RawConstraint, usize, usize), ParseError> {
-    let (kind, kline, kcol) = cur.ident()?;
-    let raw = match kind.as_str() {
+fn parse_constraint<'a>(cur: &mut Cursor<'a>) -> Result<RawConstraint<'a>, ParseError> {
+    let (kind, at) = cur.ident()?;
+    let raw = match kind {
         "disjoint" => {
-            let (a, ..) = cur.ident()?;
-            let (b, ..) = cur.ident()?;
+            let (a, _) = cur.ident()?;
+            let (b, _) = cur.ident()?;
             RawConstraint::Disjoint(a, b)
         }
         "total" | "functional" => {
-            let (class, ..) = cur.ident()?;
-            cur.expect(&Tok::Dot)?;
-            let (attr, ..) = cur.ident()?;
+            let (class, _) = cur.ident()?;
+            cur.expect(Tok::Dot)?;
+            let (attr, _) = cur.ident()?;
             if kind == "total" {
                 RawConstraint::Total(class, attr)
             } else {
@@ -228,19 +166,17 @@ fn parse_constraint(
             }
         }
         other => {
-            return Err(ParseError::new(
-                kline,
-                kcol,
-                format!("expected `disjoint`, `total`, or `functional`, found `{other}`"),
-            ))
+            return Err(at.error(format!(
+                "expected `disjoint`, `total`, or `functional`, found `{other}`"
+            )))
         }
     };
-    cur.eat(&Tok::Semi);
-    Ok((raw, line, col))
+    cur.eat(Tok::Semi);
+    Ok(raw)
 }
 
-fn schema_err(line: usize, col: usize, e: SchemaError) -> ParseError {
-    ParseError::new(line, col, e.to_string())
+fn schema_err(at: Spanned<'_>, e: SchemaError) -> ParseError {
+    at.error(e.to_string())
 }
 
 #[cfg(test)]
