@@ -27,7 +27,7 @@
 //! | artifact | holder | when |
 //! |---|---|---|
 //! | terminal-descendant closure, per class | [`PreparedSchema`] | eagerly at construction |
-//! | schema fingerprint (`Display` text) | [`PreparedSchema`] | lazily, first cache keying |
+//! | schema fingerprint (`Display` text) and its hash | [`PreparedSchema`] | lazily, first cache keying |
 //! | `QueryAnalysis` | [`PreparedQuery`] | lazily, first decision |
 //! | per-variable terminal classes | [`PreparedQuery`] | lazily, first decision |
 //! | satisfiability verdict (Thm 2.2) | [`PreparedQuery`] | lazily, first decision |
@@ -49,7 +49,7 @@ use crate::minimize::{
 };
 use crate::satisfiability::{self, strip_non_range, var_classes, Satisfiability};
 use oocq_query::{
-    canonical_form_budgeted, normalize, CanonicalQuery, Query, QueryAnalysis, UnionQuery,
+    canonical_form_budgeted, key_hash, normalize, CanonicalQuery, Query, QueryAnalysis, UnionQuery,
 };
 use oocq_schema::{ClassId, Schema};
 use std::collections::HashMap;
@@ -72,8 +72,9 @@ struct SchemaArtifacts {
     schema: Arc<Schema>,
     /// Sorted, deduplicated terminal descendants per class.
     closure: HashMap<ClassId, Vec<ClassId>>,
-    /// The schema's `Display` text, rendered once on first use.
-    fingerprint: OnceLock<Arc<str>>,
+    /// The schema's `Display` text and its [`key_hash`], both computed
+    /// once on first use.
+    fingerprint: OnceLock<(Arc<str>, u64)>,
 }
 
 impl PreparedSchema {
@@ -113,9 +114,22 @@ impl PreparedSchema {
     /// The schema fingerprint: its `Display` text, rendered once and shared.
     /// Canonical decision caches key entries by this string.
     pub fn fingerprint(&self) -> &Arc<str> {
-        self.inner
-            .fingerprint
-            .get_or_init(|| Arc::from(self.inner.schema.to_string().as_str()))
+        &self.fingerprint_memo().0
+    }
+
+    /// [`key_hash`] of the [`fingerprint`](Self::fingerprint) text,
+    /// computed once with it, so a cache key built from this schema never
+    /// re-reads the text to hash it.
+    pub fn fingerprint_hash(&self) -> u64 {
+        self.fingerprint_memo().1
+    }
+
+    fn fingerprint_memo(&self) -> &(Arc<str>, u64) {
+        self.inner.fingerprint.get_or_init(|| {
+            let text = self.inner.schema.to_string();
+            let hash = key_hash(text.as_str());
+            (Arc::from(text), hash)
+        })
     }
 
     /// The sorted, deduplicated terminal descendants of one class, from the
@@ -921,6 +935,7 @@ mod tests {
         let ps = PreparedSchema::new(&s);
         assert_eq!(ps.fingerprint().as_ref(), s.to_string());
         assert!(Arc::ptr_eq(ps.fingerprint(), ps.fingerprint()));
+        assert_eq!(ps.fingerprint_hash(), key_hash(s.to_string().as_str()));
     }
 
     #[test]

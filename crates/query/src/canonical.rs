@@ -32,6 +32,7 @@ use crate::query::Query;
 use crate::term::{Term, VarId};
 use oocq_schema::{AttrId, ClassId};
 use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
 
 /// An isomorphism-invariant canonical form of a [`Query`].
 ///
@@ -40,15 +41,113 @@ use std::cmp::Ordering;
 /// atoms orientation-normalized) is lexicographically least among all
 /// labelings the canonical search admits. Two queries compare equal —
 /// and hash equal — iff they are isomorphic.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+///
+/// The content hash is computed once, when the form is built, so hashing a
+/// `CanonicalQuery` writes one `u64` instead of walking the atom vector.
+/// Equality still compares the content; the stored hash, compared first,
+/// only rejects unequal forms early.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CanonicalQuery {
+    /// [`key_hash`] of `(var_count, atoms)`.
+    hash: u64,
     /// Number of variables (free + bound).
     var_count: usize,
     /// The canonical atom vector, sorted and deduplicated.
     atoms: Vec<Atom>,
 }
 
+/// The content hash the decision caches key on. Equal values hash equally
+/// anywhere in one build; the value is never persisted. See [`KeyFold`].
+pub fn key_hash<T: Hash + ?Sized>(value: &T) -> u64 {
+    let mut h = KeyFold(0);
+    value.hash(&mut h);
+    h.finish()
+}
+
+/// The hasher behind [`key_hash`]. Each word is folded in with a rotate, an
+/// xor and a multiply, and the state is mixed once at the end with
+/// MurmurHash3's 64-bit finalizer, so every output bit depends on every
+/// input word. An atom vector is dozens of small writes, which this takes
+/// at about a nanosecond each. It is unkeyed, so it is no defence against
+/// crafted collisions: a table that takes buckets from these hashes must
+/// mix them under a key of its own (the decision cache does), and must
+/// compare keys in full, so a collision costs a comparison, never a
+/// wrong match.
+struct KeyFold(u64);
+
+impl KeyFold {
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for KeyFold {
+    fn write(&mut self, bytes: &[u8]) {
+        self.fold(bytes.len() as u64);
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.fold(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.fold(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.fold(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.fold(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.fold(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.fold(n as u64);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.fold(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
+impl Hash for CanonicalQuery {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
 impl CanonicalQuery {
+    fn new(var_count: usize, atoms: Vec<Atom>) -> CanonicalQuery {
+        let hash = key_hash(&(var_count, &atoms));
+        CanonicalQuery {
+            hash,
+            var_count,
+            atoms,
+        }
+    }
+
+    /// The content hash computed when this form was built ([`key_hash`] of
+    /// its variable count and atoms).
+    pub fn key_hash(&self) -> u64 {
+        self.hash
+    }
+
     /// Number of variables of the underlying query.
     pub fn var_count(&self) -> usize {
         self.var_count
@@ -119,56 +218,60 @@ impl CanonicalQuery {
     }
 
     /// Parse a [`CanonicalQuery::to_wire`] string. Returns `None` on any
-    /// malformation (wrong tags, non-numeric ids, variable indices out of
-    /// range) — persisted-log readers treat that as a corrupt record, never
-    /// an error worth surfacing.
+    /// malformation (wrong tags, non-numeric ids, ids above `u32::MAX`,
+    /// variable indices out of range, or a variable count that the atoms
+    /// cannot support) — persisted-log readers treat that as a corrupt
+    /// record, never an error worth surfacing, so no input panics here.
     pub fn from_wire(wire: &str) -> Option<CanonicalQuery> {
         let mut parts = wire.split(';');
         let head = parts.next()?;
-        let var_count: usize = head.strip_prefix('v')?.parse().ok()?;
-        let var = |s: &str| -> Option<VarId> {
-            let ix: usize = s.parse().ok()?;
+        let var_count = head.strip_prefix('v')?.parse::<u32>().ok()? as usize;
+        let id = |s: &str| s.parse::<u32>().ok().map(|ix| ix as usize);
+        // Variable occurrences across the atoms; every variable but the
+        // free one needs at least one.
+        let mut uses = 0usize;
+        let mut var = |s: &str| -> Option<VarId> {
+            let ix = id(s)?;
+            uses += 1;
             (ix < var_count).then(|| VarId::from_index(ix))
-        };
-        let term = |s: &str| -> Option<Term> {
-            match s.split_once('.') {
-                Some((v, a)) => Some(Term::Attr(var(v)?, AttrId::from_index(a.parse().ok()?))),
-                None => Some(Term::Var(var(s)?)),
-            }
-        };
-        let classes = |s: &str| -> Option<Vec<ClassId>> {
-            s.split(',')
-                .map(|c| Some(ClassId::from_index(c.parse::<usize>().ok()?)))
-                .collect()
-        };
-        // `x,y.A` of a (non-)membership atom: member var, owner var, attr.
-        let membership = |s: &str| -> Option<(VarId, VarId, AttrId)> {
-            let (x, rest) = s.split_once(',')?;
-            let (y, a) = rest.split_once('.')?;
-            Some((var(x)?, var(y)?, AttrId::from_index(a.parse().ok()?)))
         };
         let mut atoms = Vec::new();
         for part in parts {
             let (tag, rest) = part.split_at(part.len().min(1));
+            let mut term = |s: &str| -> Option<Term> {
+                match s.split_once('.') {
+                    Some((v, a)) => Some(Term::Attr(var(v)?, AttrId::from_index(id(a)?))),
+                    None => Some(Term::Var(var(s)?)),
+                }
+            };
             atoms.push(match tag {
                 "r" | "R" => {
                     let (v, cs) = rest.split_once(':')?;
+                    let classes = cs
+                        .split(',')
+                        .map(|c| Some(ClassId::from_index(id(c)?)))
+                        .collect::<Option<Vec<ClassId>>>()?;
+                    let v = var(v)?;
                     if tag == "r" {
-                        Atom::Range(var(v)?, classes(cs)?)
+                        Atom::Range(v, classes)
                     } else {
-                        Atom::NonRange(var(v)?, classes(cs)?)
+                        Atom::NonRange(v, classes)
                     }
                 }
                 "e" | "n" => {
                     let (s, t) = rest.split_once('~')?;
+                    let (s, t) = (term(s)?, term(t)?);
                     if tag == "e" {
-                        Atom::Eq(term(s)?, term(t)?)
+                        Atom::Eq(s, t)
                     } else {
-                        Atom::Neq(term(s)?, term(t)?)
+                        Atom::Neq(s, t)
                     }
                 }
                 "m" | "M" => {
-                    let (x, y, a) = membership(rest)?;
+                    // `x,y.A`: member var, owner var, attr.
+                    let (x, rest) = rest.split_once(',')?;
+                    let (y, a) = rest.split_once('.')?;
+                    let (x, y, a) = (var(x)?, var(y)?, AttrId::from_index(id(a)?));
                     if tag == "m" {
                         Atom::Member(x, y, a)
                     } else {
@@ -178,7 +281,7 @@ impl CanonicalQuery {
                 _ => return None,
             });
         }
-        Some(CanonicalQuery { var_count, atoms })
+        (var_count <= uses + 1).then(|| CanonicalQuery::new(var_count, atoms))
     }
 }
 
@@ -517,10 +620,10 @@ pub fn canonical_form_budgeted<E>(
     let best = search
         .best
         .expect("canonical search visits at least one labeling");
-    Ok(CanonicalQuery {
-        var_count: n,
-        atoms: best.into_iter().map(LightAtom::to_atom).collect(),
-    })
+    Ok(CanonicalQuery::new(
+        n,
+        best.into_iter().map(LightAtom::to_atom).collect(),
+    ))
 }
 
 /// The string-keyed labeler this module's byte-arena labeler replaced,
@@ -755,10 +858,10 @@ mod reference {
         let mut order: Vec<VarId> = Vec::with_capacity(q.var_count());
         let mut used = vec![false; q.var_count()];
         search(&q, &classes, 0, 0, &mut order, &mut used, &mut best, charge)?;
-        Ok(CanonicalQuery {
-            var_count: q.var_count(),
-            atoms: best.expect("canonical search visits at least one labeling"),
-        })
+        Ok(CanonicalQuery::new(
+            q.var_count(),
+            best.expect("canonical search visits at least one labeling"),
+        ))
     }
 }
 
@@ -997,6 +1100,42 @@ mod tests {
     }
 
     #[test]
+    fn wire_ids_above_u32_are_rejected_not_panicked_on() {
+        assert_eq!(CanonicalQuery::from_wire("v1;r0:99999999999"), None);
+        assert_eq!(CanonicalQuery::from_wire("v1;e0.99999999999~0"), None);
+        assert_eq!(CanonicalQuery::from_wire("v1;m0,0.99999999999"), None);
+        // The largest id that fits still parses.
+        assert!(CanonicalQuery::from_wire("v1;r0:4294967295").is_some());
+    }
+
+    #[test]
+    fn a_wire_var_count_no_atom_supports_is_rejected() {
+        assert_eq!(CanonicalQuery::from_wire("v99999999999"), None);
+        assert_eq!(CanonicalQuery::from_wire("v4000000000"), None);
+        // Each variable past the free one needs an occurrence.
+        assert_eq!(CanonicalQuery::from_wire("v4;r0:0;r1:0"), None);
+        assert!(CanonicalQuery::from_wire("v3;r0:0;r1:0;r2:0").is_some());
+    }
+
+    #[test]
+    fn equal_forms_share_their_stored_hash() {
+        let s = samples::single_class();
+        let c = s.class_id("C").unwrap();
+        let build = |free: &str, bound: &str| {
+            let mut b = QueryBuilder::new(free);
+            let x = b.free();
+            let y = b.var(bound);
+            b.range(x, [c]).range(y, [c]).neq_vars(x, y);
+            canonical_form(&b.build())
+        };
+        let (a, b) = (build("x", "y"), build("p", "q"));
+        assert_eq!(a, b);
+        assert_eq!(a.key_hash(), b.key_hash());
+        let back = CanonicalQuery::from_wire(&a.to_wire()).unwrap();
+        assert_eq!(back.key_hash(), a.key_hash());
+    }
+
+    #[test]
     fn canonical_form_exposes_shape() {
         let s = samples::single_class();
         let c = s.class_id("C").unwrap();
@@ -1192,7 +1331,13 @@ mod tests {
                 Ok(())
             }
         })?;
-        Ok((form.to_wire(), spent))
+        let wire = form.to_wire();
+        assert_eq!(
+            CanonicalQuery::from_wire(&wire).as_ref(),
+            Some(&form),
+            "to_wire→from_wire is not a fixpoint for {wire}"
+        );
+        Ok((wire, spent))
     }
 
     /// Assert the byte-arena labeler matches the string-keyed reference on

@@ -24,7 +24,7 @@ mod term;
 
 pub use analysis::{check_well_formed, maximal_classes, normalize, QueryAnalysis};
 pub use atom::Atom;
-pub use canonical::{canonical_form, canonical_form_budgeted, CanonicalQuery};
+pub use canonical::{canonical_form, canonical_form_budgeted, key_hash, CanonicalQuery};
 pub use display::{DisplayQuery, DisplayUnion};
 pub use equality::EqualityGraph;
 pub use error::WellFormedError;

@@ -23,6 +23,10 @@
 //!   stay bit-identical to an uncached run (see the
 //!   [`DecisionCache`] soundness contract).
 //!
+//! Every key carries a hash computed once, when it is built, from hashes
+//! memoized on the schema and the canonical forms ([`DecisionKey`]); the
+//! tables hash that one `u64` and compare content on a match.
+//!
 //! Storage is a sharded `RwLock` LRU: keys hash to one of [`SHARD_COUNT`]
 //! shards, reads take the shard's read lock and refresh the entry's access
 //! stamp with a relaxed atomic store, writes take the write lock and evict
@@ -53,16 +57,16 @@
 //! memory-only ([`CanonicalDecisionCache::persistence_active`] reports
 //! which side of that race a cache landed on).
 
-use crate::persist;
-use oocq_core::{DecisionCache, PreparedQuery};
-use oocq_query::{CanonicalQuery, UnionQuery};
-use std::collections::hash_map::DefaultHasher;
+use crate::persist::{self, Frame};
+use oocq_core::{DecisionCache, PreparedQuery, PreparedSchema};
+use oocq_query::{key_hash, CanonicalQuery, UnionQuery};
+use std::collections::hash_map::{Entry as MapEntry, RandomState};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Number of independent lock shards per table. Sixteen keeps write
 /// contention negligible for worker pools an order of magnitude larger
@@ -83,57 +87,187 @@ pub const DEFAULT_DISK_CAPACITY: usize = 65536;
 /// caches don't rewrite the log on every superseded verdict.
 const COMPACT_MIN_DEAD: u64 = 8;
 
-/// Engine/cache compatibility stamp baked into every cache key.
+/// Engine/cache compatibility stamp written on every log frame.
 ///
 /// A cached verdict is only replayable by an engine that would have
 /// computed the same value; bump this whenever a decision-engine change
 /// alters what a stored entry means (new verdict semantics, key shape
-/// changes, theory rewrites). Version 2 introduced theory-aware keys.
-pub const ENGINE_CACHE_VERSION: u32 = 2;
+/// changes, theory rewrites) or the log's frame grammar changes. Version
+/// 2 introduced theory-aware keys; version 3 logs each schema once, in a
+/// schema frame, and verdicts by schema id.
+pub const ENGINE_CACHE_VERSION: u32 = 3;
 
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct ContainsKey {
-    version: u32,
+/// `OOCQ_CACHE_CAPACITY`, read in this one place: `None` when it parses to
+/// zero (`0`, `00`, ` 0 `), which turns the cache off; otherwise its
+/// value, or [`DEFAULT_CAPACITY`] when it is unset or not a number.
+fn parse_capacity(raw: Option<&str>) -> Option<usize> {
+    match raw.map(|s| s.trim().parse::<usize>()) {
+        Some(Ok(0)) => None,
+        Some(Ok(n)) => Some(n),
+        _ => Some(DEFAULT_CAPACITY),
+    }
+}
+
+/// The `Hasher` of every table keyed by a [`DecisionKey`]: a key writes its
+/// precomputed hash as one `u64`, which passes straight through instead of
+/// being hashed a second time. `write` is only here because the trait
+/// requires it; it folds bytes FNV-1a style.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 ^= v;
+    }
+}
+
+/// The `BuildHasher` of the tables keyed by [`DecisionKey`]s.
+pub(crate) type KeyBuild = BuildHasherDefault<KeyHasher>;
+
+/// Content equality of shared text, pointer first.
+fn same(a: &Arc<str>, b: &Arc<str>) -> bool {
+    Arc::ptr_eq(a, b) || a == b
+}
+
+/// What every decision key is scoped by: the schema fingerprint and the
+/// theory fingerprint. Hashing a scope reads its text; only the writer's
+/// set of logged schemas does that, once per appended verdict.
+#[derive(Clone, Debug)]
+pub(crate) struct KeyScope {
     schema: Arc<str>,
     /// The schema's theory fingerprint (its rendered constraint block).
-    /// Redundant with the trailing lines of `schema` today, but keyed
+    /// Redundant with the trailing lines of `schema` today, but compared
     /// separately so constrained and unconstrained verdicts can never
     /// collide even if fingerprint rendering changes.
     theory: Arc<str>,
-    /// Canonical forms, shared with the query handles that labeled them.
-    q1: Arc<CanonicalQuery>,
-    q2: Arc<CanonicalQuery>,
 }
 
-impl ContainsKey {
-    fn of(p1: &PreparedQuery, p2: &PreparedQuery) -> ContainsKey {
-        ContainsKey {
-            version: ENGINE_CACHE_VERSION,
-            schema: p1.schema().fingerprint().clone(),
-            theory: p1.schema().schema().constraints_text().clone(),
-            q1: p1.canonical_form().clone(),
-            q2: p2.canonical_form().clone(),
+impl KeyScope {
+    fn of(schema: &PreparedSchema) -> KeyScope {
+        KeyScope {
+            schema: schema.fingerprint().clone(),
+            theory: schema.schema().constraints_text().clone(),
         }
     }
 }
 
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct MinimizeKey {
-    version: u32,
-    schema: Arc<str>,
-    /// See [`ContainsKey::theory`].
-    theory: Arc<str>,
-    query: String,
+impl PartialEq for KeyScope {
+    fn eq(&self, other: &KeyScope) -> bool {
+        same(&self.schema, &other.schema) && same(&self.theory, &other.theory)
+    }
+}
+
+impl Eq for KeyScope {}
+
+impl Hash for KeyScope {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.schema.hash(state);
+        self.theory.hash(state);
+    }
+}
+
+/// The identity of one decision, shared by the tier-1 tables, the tier-2
+/// index and the singleflight table: its scope, its operands, and a hash
+/// of both computed once, when the key is built, from the hashes memoized
+/// on the schema and the canonical forms.
+///
+/// Hashing a key writes that one `u64`. Equality compares the content
+/// (pointers first, then text and atoms), never the hash alone, so two
+/// keys that collide on the hash still occupy separate entries. The derived
+/// `==` compares fields in order, hash first; `Arc<CanonicalQuery>`'s `==`
+/// checks the pointer before the atoms.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DecisionKey<Q> {
+    hash: u64,
+    scope: KeyScope,
+    operands: Q,
+}
+
+/// A containment (or equivalence) key: the canonical forms of both sides,
+/// shared with the query handles that labeled them. Containment is
+/// invariant under renaming either side, so isomorphic copies share a key.
+pub type ContainsKey = DecisionKey<(Arc<CanonicalQuery>, Arc<CanonicalQuery>)>;
+
+/// A minimization key: the *exact* rendered query, because minimization
+/// output carries the user's variable names back.
+pub type MinimizeKey = DecisionKey<String>;
+
+/// One hash over a schema fingerprint's hash and the operands' hashes:
+/// SipHash under a key drawn once per process. The tables take their
+/// buckets straight from this value, and the keys come from client
+/// queries, so it must not be predictable from outside the process.
+fn combine(schema_hash: u64, operands: &[u64]) -> u64 {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    KEYS.get_or_init(RandomState::new)
+        .hash_one((schema_hash, operands))
+}
+
+impl ContainsKey {
+    /// The key of `q1 ⊆ q2` under `schema`, from memoized canonical forms.
+    pub(crate) fn new(
+        schema: &PreparedSchema,
+        q1: Arc<CanonicalQuery>,
+        q2: Arc<CanonicalQuery>,
+    ) -> ContainsKey {
+        ContainsKey::scoped(KeyScope::of(schema), schema.fingerprint_hash(), q1, q2)
+    }
+
+    /// The key of `q1 ⊆ q2` under `scope`, whose fingerprint hashes to
+    /// `schema_hash`.
+    fn scoped(
+        scope: KeyScope,
+        schema_hash: u64,
+        q1: Arc<CanonicalQuery>,
+        q2: Arc<CanonicalQuery>,
+    ) -> ContainsKey {
+        DecisionKey {
+            hash: combine(schema_hash, &[q1.key_hash(), q2.key_hash()]),
+            scope,
+            operands: (q1, q2),
+        }
+    }
+
+    fn of(p1: &PreparedQuery, p2: &PreparedQuery) -> ContainsKey {
+        ContainsKey::new(
+            p1.schema(),
+            p1.canonical_form().clone(),
+            p2.canonical_form().clone(),
+        )
+    }
 }
 
 impl MinimizeKey {
-    fn of(p: &PreparedQuery) -> MinimizeKey {
-        MinimizeKey {
-            version: ENGINE_CACHE_VERSION,
-            schema: p.schema().fingerprint().clone(),
-            theory: p.schema().schema().constraints_text().clone(),
-            query: p.query().display(p.schema().schema()).to_string(),
+    /// The key of minimizing `p`: its exact rendered text.
+    pub(crate) fn of(p: &PreparedQuery) -> MinimizeKey {
+        let query = p.query().display(p.schema().schema()).to_string();
+        DecisionKey {
+            hash: combine(p.schema().fingerprint_hash(), &[key_hash(query.as_str())]),
+            scope: KeyScope::of(p.schema()),
+            operands: query,
         }
+    }
+}
+
+impl<Q> DecisionKey<Q> {
+    /// The hash computed when the key was built.
+    pub(crate) fn key_hash(&self) -> u64 {
+        self.hash
+    }
+}
+
+impl<Q> Hash for DecisionKey<Q> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
     }
 }
 
@@ -144,29 +278,33 @@ struct Entry<V> {
     stamp: AtomicU64,
 }
 
+/// One shard of an LRU table.
+type Shard<Q, V> = RwLock<HashMap<DecisionKey<Q>, Entry<V>, KeyBuild>>;
+
 /// One sharded LRU table.
-struct Lru<K, V> {
-    shards: Vec<RwLock<HashMap<K, Entry<V>>>>,
+struct Lru<Q, V> {
+    shards: Vec<Shard<Q, V>>,
     per_shard_cap: usize,
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
-    fn new(capacity: usize) -> Lru<K, V> {
+impl<Q: Eq + Clone, V: Clone> Lru<Q, V> {
+    fn new(capacity: usize) -> Lru<Q, V> {
         Lru {
             shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(HashMap::new()))
+                .map(|_| RwLock::new(HashMap::default()))
                 .collect(),
             per_shard_cap: capacity.div_ceil(SHARD_COUNT).max(1),
         }
     }
 
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, Entry<V>>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARD_COUNT]
+    /// The shard from bits 32.. of the key's hash: the map inside takes
+    /// its bucket from the low bits and its tag from the top seven, so
+    /// neither repeats within a shard.
+    fn shard(&self, key: &DecisionKey<Q>) -> &Shard<Q, V> {
+        &self.shards[(key.hash >> 32) as usize % SHARD_COUNT]
     }
 
-    fn get(&self, key: &K, clock: &AtomicU64) -> Option<V> {
+    fn get(&self, key: &DecisionKey<Q>, clock: &AtomicU64) -> Option<V> {
         let shard = self.shard(key).read().unwrap();
         shard.get(key).map(|e| {
             e.stamp.store(clock.fetch_add(1, Relaxed) + 1, Relaxed);
@@ -176,7 +314,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
 
     /// Insert, evicting the shard's least-recently-used entry on overflow.
     /// Returns whether an eviction happened.
-    fn put(&self, key: K, value: V, clock: &AtomicU64) -> bool {
+    fn put(&self, key: DecisionKey<Q>, value: V, clock: &AtomicU64) -> bool {
         let mut shard = self.shard(&key).write().unwrap();
         let stamp = AtomicU64::new(clock.fetch_add(1, Relaxed) + 1);
         shard.insert(key, Entry { value, stamp });
@@ -225,11 +363,12 @@ pub struct PersistStats {
     pub loaded: u64,
     /// Records appended to the log since startup.
     pub appended: u64,
-    /// Startup records skipped for carrying a different
+    /// Startup frames skipped for carrying a different
     /// [`ENGINE_CACHE_VERSION`].
     pub stale: u64,
-    /// Corrupt spans skipped by log recovery plus records whose canonical
-    /// payload no longer decodes.
+    /// Corrupt spans skipped by log recovery plus verdicts whose schema id
+    /// names no schema frame of the log (or two different ones) or whose
+    /// canonical payload no longer decodes.
     pub corrupt: u64,
     /// Live records overwritten by a later verdict for the same key.
     pub superseded: u64,
@@ -241,16 +380,66 @@ pub struct PersistStats {
     pub entries: usize,
 }
 
+/// The schemas the log holds a frame for, with their
+/// [`persist::schema_id`]s.
+#[derive(Default)]
+struct LoggedSchemas(HashMap<KeyScope, u64>);
+
+impl LoggedSchemas {
+    /// The id of `scope`, appending its schema frame to `out` (and
+    /// returning `true`) the first time.
+    fn id_for(&mut self, scope: &KeyScope, out: &mut Vec<u8>) -> (u64, bool) {
+        if let Some(&id) = self.0.get(scope) {
+            return (id, false);
+        }
+        persist::encode(
+            &Frame::Schema {
+                schema: &scope.schema,
+                theory: &scope.theory,
+            },
+            out,
+        );
+        let id = persist::schema_id(&scope.schema, &scope.theory);
+        self.0.insert(scope.clone(), id);
+        (id, true)
+    }
+}
+
+/// Append the verdict frame of `key` (after its schema frame, the first
+/// time its schema is seen) to `out`. Returns whether a schema frame went
+/// in.
+fn encode_verdict(
+    schemas: &mut LoggedSchemas,
+    key: &ContainsKey,
+    holds: bool,
+    out: &mut Vec<u8>,
+) -> bool {
+    let (id, fresh) = schemas.id_for(&key.scope, out);
+    let (q1, q2) = &key.operands;
+    persist::encode(
+        &Frame::Verdict {
+            id,
+            holds,
+            q1: &q1.to_wire(),
+            q2: &q2.to_wire(),
+        },
+        out,
+    );
+    fresh
+}
+
 /// Mutable half of the persistent tier, under one mutex: the verdict
-/// index (what's on disk, last record wins) and the append handle.
+/// index (what's on disk, last record wins), the schemas the log holds,
+/// and the append handle.
 struct Tier2State {
     /// Keys are boxed so a bucket is a pointer and a flag: the table's
     /// doublings then move 16-byte buckets, not whole keys. Lookups borrow
     /// a `&ContainsKey` through `Arc`'s `Borrow`.
-    index: HashMap<Arc<ContainsKey>, bool>,
+    index: HashMap<Arc<ContainsKey>, bool, KeyBuild>,
+    schemas: LoggedSchemas,
     writer: persist::LogWriter,
-    /// Log records no longer reachable through `index` (superseded,
-    /// stale-versioned, or corrupt). Drives compaction.
+    /// Log frames no longer reachable through `index` (superseded,
+    /// stale-versioned, duplicate, or corrupt). Drives compaction.
     dead: u64,
 }
 
@@ -274,17 +463,6 @@ struct Tier2 {
     _lock: persist::DirLock,
 }
 
-fn record_of(key: &ContainsKey, holds: bool) -> persist::Record {
-    persist::Record {
-        version: ENGINE_CACHE_VERSION,
-        schema: key.schema.to_string(),
-        theory: key.theory.to_string(),
-        q1: key.q1.to_wire(),
-        q2: key.q2.to_wire(),
-        holds,
-    }
-}
-
 impl Tier2 {
     fn lookup(&self, key: &ContainsKey) -> Option<bool> {
         let hit = self.state.lock().unwrap().index.get(key).copied();
@@ -297,7 +475,8 @@ impl Tier2 {
     /// Persist one verdict. Appends are best-effort: an I/O failure costs
     /// one warm verdict after the next restart, never a wrong answer.
     fn record(&self, key: &ContainsKey, holds: bool) {
-        let mut st = self.state.lock().unwrap();
+        let mut guard = self.state.lock().unwrap();
+        let st = &mut *guard;
         match st.index.get(key) {
             // Already on disk with the same value: nothing to write.
             Some(&v) if v == holds => return,
@@ -312,19 +491,30 @@ impl Tier2 {
                 }
             }
         }
-        let _ = st.writer.append(&record_of(key, holds));
+        let mut frames = Vec::new();
+        let fresh = encode_verdict(&mut st.schemas, key, holds, &mut frames);
+        if st.writer.append(&frames).is_err() && fresh {
+            // The schema frame may not have landed: the next verdict under
+            // this schema writes it again.
+            st.schemas.0.remove(&key.scope);
+        }
         self.appended.fetch_add(1, Relaxed);
         st.index.insert(Arc::new(key.clone()), holds);
         if st.dead > (st.index.len() as u64).max(COMPACT_MIN_DEAD) {
-            self.compact(&mut st);
+            self.compact(st);
         }
     }
 
-    /// Rewrite the log to exactly the live index and reset the dead count.
+    /// Rewrite the log to exactly the live index — each schema frame just
+    /// before the first verdict that uses it — and reset the dead count.
     fn compact(&self, st: &mut Tier2State) {
-        let records: Vec<persist::Record> =
-            st.index.iter().map(|(k, &v)| record_of(k, v)).collect();
-        if st.writer.rewrite(records.into_iter()).is_ok() {
+        let mut schemas = LoggedSchemas::default();
+        let mut image = Vec::new();
+        for (k, &v) in &st.index {
+            encode_verdict(&mut schemas, k, v, &mut image);
+        }
+        if st.writer.rewrite(&image).is_ok() {
+            st.schemas = schemas;
             st.dead = 0;
             self.compactions.fetch_add(1, Relaxed);
         }
@@ -349,8 +539,8 @@ impl Tier2 {
 /// The shared, thread-safe decision cache of `oocq-serve`. See the module
 /// docs for the keying scheme.
 pub struct CanonicalDecisionCache {
-    contains: Lru<ContainsKey, bool>,
-    minimized: Lru<MinimizeKey, UnionQuery>,
+    contains: Lru<(Arc<CanonicalQuery>, Arc<CanonicalQuery>), bool>,
+    minimized: Lru<String, UnionQuery>,
     /// The disk-backed second tier, when configured and lock-winning.
     tier2: Option<Tier2>,
     clock: AtomicU64,
@@ -401,65 +591,76 @@ impl CanonicalDecisionCache {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
-        let (records, report) = persist::scan_log(&bytes);
+        let (frames, report) = persist::scan_log(&bytes);
         let writer = persist::LogWriter::open(&log_path)?;
         cache.tier2 = Some(Tier2 {
             state: Mutex::new(Tier2State {
-                index: HashMap::new(),
+                index: HashMap::default(),
+                schemas: LoggedSchemas::default(),
                 writer,
-                dead: 0,
+                dead: report.stale,
             }),
             cap: disk_capacity.max(1),
             tier2_hits: AtomicU64::new(0),
             loaded: AtomicU64::new(0),
             appended: AtomicU64::new(0),
-            stale: AtomicU64::new(0),
+            stale: AtomicU64::new(report.stale),
             corrupt: AtomicU64::new(report.corrupt_spans),
             superseded: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
             _lock: lock,
         });
-        cache.load_records(records);
+        cache.load_frames(&frames);
         Ok(cache)
     }
 
-    /// Replay scanned log records into the tier-2 index and pre-warm the
+    /// Replay scanned log frames into the tier-2 index and pre-warm the
     /// in-memory shards, then compact away whatever didn't survive.
-    fn load_records(&self, records: Vec<persist::Record>) {
-        let t2 = self.tier2.as_ref().expect("load_records requires tier2");
-        // Deduplicate fingerprint allocations across the replay; `Arc<str>`
-        // keys compare by content, so replayed entries hit the keys live
-        // handles build.
-        let mut interned: HashMap<String, Arc<str>> = HashMap::new();
-        let mut st = t2.state.lock().unwrap();
-        for rec in records {
-            if rec.version != ENGINE_CACHE_VERSION {
-                t2.stale.fetch_add(1, Relaxed);
-                st.dead += 1;
+    fn load_frames(&self, frames: &[Frame<'_>]) {
+        let t2 = self.tier2.as_ref().expect("load_frames requires tier2");
+        let mut guard = t2.state.lock().unwrap();
+        let st = &mut *guard;
+        // Bind schema ids first, each schema decoded and hashed once. Ids
+        // are derived from the frame's content, so a repeated frame is
+        // merely dead weight; two different schemas under one id (an
+        // FNV-1a collision) unbind it (`None`), so no verdict is ever read
+        // under a schema other than the one it was written under.
+        let mut bound: HashMap<u64, Option<(KeyScope, u64)>> = HashMap::new();
+        for frame in frames {
+            let &Frame::Schema { schema, theory } = frame else {
                 continue;
+            };
+            match bound.entry(persist::schema_id(schema, theory)) {
+                MapEntry::Vacant(e) => {
+                    let scope = KeyScope {
+                        schema: Arc::from(schema),
+                        theory: Arc::from(theory),
+                    };
+                    e.insert(Some((scope, key_hash(schema))));
+                }
+                MapEntry::Occupied(mut e) => {
+                    st.dead += 1;
+                    let repeats = matches!(e.get(),
+                        Some((s, _)) if &*s.schema == schema && &*s.theory == theory);
+                    if !repeats {
+                        e.insert(None);
+                    }
+                }
             }
-            let decoded =
-                CanonicalQuery::from_wire(&rec.q1).zip(CanonicalQuery::from_wire(&rec.q2));
-            let Some((q1, q2)) = decoded else {
+        }
+        for frame in frames {
+            let &Frame::Verdict { id, holds, q1, q2 } = frame else {
+                continue;
+            };
+            let decoded = CanonicalQuery::from_wire(q1).zip(CanonicalQuery::from_wire(q2));
+            let (Some(Some((scope, hash))), Some((q1, q2))) = (bound.get(&id), decoded) else {
                 t2.corrupt.fetch_add(1, Relaxed);
                 st.dead += 1;
                 continue;
             };
-            let mut intern = |text: String| -> Arc<str> {
-                interned
-                    .entry(text)
-                    .or_insert_with_key(|t| Arc::from(t.as_str()))
-                    .clone()
-            };
-            let key = ContainsKey {
-                version: ENGINE_CACHE_VERSION,
-                schema: intern(rec.schema),
-                theory: intern(rec.theory),
-                q1: Arc::new(q1),
-                q2: Arc::new(q2),
-            };
-            if st.index.insert(Arc::new(key.clone()), rec.holds).is_some() {
+            let key = ContainsKey::scoped(scope.clone(), *hash, Arc::new(q1), Arc::new(q2));
+            if st.index.insert(Arc::new(key.clone()), holds).is_some() {
                 // A later record for the same key: the log held a dupe.
                 st.dead += 1;
             } else if st.index.len() > t2.cap {
@@ -472,28 +673,30 @@ impl CanonicalDecisionCache {
             }
             // Pre-warm tier 1. Overflow here is not a runtime eviction, so
             // the counter stays untouched.
-            self.contains.put(key, rec.holds, &self.clock);
+            self.contains.put(key, holds, &self.clock);
         }
+        st.schemas.0 = bound
+            .into_iter()
+            .filter_map(|(id, scope)| Some((scope?.0, id)))
+            .collect();
         // Anything dead on disk right after a restart stays dead forever —
         // rewrite now so stale versions and corrupt spans don't linger.
         if st.dead > 0 || t2.corrupt.load(Relaxed) > 0 {
-            t2.compact(&mut st);
+            t2.compact(st);
         }
     }
 
-    /// Capacity from `OOCQ_CACHE_CAPACITY` (a positive integer), defaulting
-    /// to [`DEFAULT_CAPACITY`]. Persistence comes from `OOCQ_CACHE_DIR`
-    /// (unset: memory-only), gated by `OOCQ_CACHE_PERSIST=0` as an off
-    /// switch, with `OOCQ_CACHE_DISK_CAPACITY` bounding the on-disk index
-    /// (default [`DEFAULT_DISK_CAPACITY`]). A directory that cannot be
-    /// opened degrades to memory-only with a note on stderr — a broken
-    /// cache volume must never stop the daemon from answering.
-    pub fn from_env() -> CanonicalDecisionCache {
-        let cap = std::env::var("OOCQ_CACHE_CAPACITY")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_CAPACITY);
+    /// The cache the environment configures, or `None` when
+    /// `OOCQ_CACHE_CAPACITY` reads as zero (the off switch). Capacity is
+    /// `OOCQ_CACHE_CAPACITY` (default [`DEFAULT_CAPACITY`]). Persistence
+    /// comes from `OOCQ_CACHE_DIR` (unset: memory-only), gated by
+    /// `OOCQ_CACHE_PERSIST=0` as an off switch, with
+    /// `OOCQ_CACHE_DISK_CAPACITY` bounding the on-disk index (default
+    /// [`DEFAULT_DISK_CAPACITY`]). A directory that cannot be opened
+    /// degrades to memory-only with a note on stderr — a broken cache
+    /// volume must never stop the daemon from answering.
+    pub fn from_env() -> Option<CanonicalDecisionCache> {
+        let cap = parse_capacity(std::env::var("OOCQ_CACHE_CAPACITY").ok().as_deref())?;
         let persist_on = !matches!(
             std::env::var("OOCQ_CACHE_PERSIST")
                 .as_deref()
@@ -511,11 +714,36 @@ impl CanonicalDecisionCache {
                 .filter(|&c| c > 0)
                 .unwrap_or(DEFAULT_DISK_CAPACITY);
             match CanonicalDecisionCache::with_persistence(cap, Path::new(&dir), disk_cap) {
-                Ok(cache) => return cache,
+                Ok(cache) => return Some(cache),
                 Err(e) => eprintln!("oocq-serve: cache persistence disabled ({dir}: {e})"),
             }
         }
-        CanonicalDecisionCache::new(cap)
+        Some(CanonicalDecisionCache::new(cap))
+    }
+
+    /// Every verdict in the tier-2 index as `(schema, theory, q1 wire,
+    /// q2 wire, holds)`.
+    #[cfg(test)]
+    pub(crate) fn tier2_facts(&self) -> Vec<(String, String, String, String, bool)> {
+        let Some(t2) = &self.tier2 else {
+            return Vec::new();
+        };
+        let st = t2.state.lock().unwrap();
+        st.index
+            .iter()
+            .map(|(k, &holds)| {
+                let (q1, q2) = &k.operands;
+                let scope = &k.scope;
+                let text = |t: &Arc<str>| t.to_string();
+                (
+                    text(&scope.schema),
+                    text(&scope.theory),
+                    q1.to_wire(),
+                    q2.to_wire(),
+                    holds,
+                )
+            })
+            .collect()
     }
 
     /// Is the disk-backed tier live (directory configured *and* its
@@ -581,9 +809,9 @@ impl CanonicalDecisionCache {
     }
 }
 
-// Prepared operands carry their keys pre-computed: the schema fingerprint
-// is rendered once on the PreparedSchema, and canonical forms are memoized
-// on the query handles.
+// Prepared operands carry their keys' parts pre-computed and pre-hashed:
+// the schema fingerprint and its hash on the PreparedSchema, the canonical
+// forms (each with its hash) on the query handles.
 impl DecisionCache for CanonicalDecisionCache {
     fn get_contains_prepared(&self, p1: &PreparedQuery, p2: &PreparedQuery) -> Option<bool> {
         self.lookup_contains(&ContainsKey::of(p1, p2))
@@ -615,8 +843,8 @@ impl DecisionCache for CanonicalDecisionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oocq_core::PreparedSchema;
-    use oocq_query::{canonical_form, Query, QueryBuilder};
+    use crate::flight::FlightKey;
+    use oocq_query::{Query, QueryBuilder};
     use oocq_schema::{samples, Schema};
 
     /// A fresh handle for `q` under `s`.
@@ -715,27 +943,62 @@ mod tests {
     }
 
     #[test]
-    fn cache_keys_carry_the_engine_version_stamp() {
+    fn keys_with_one_forced_hash_stay_distinct_entries() {
         let s = samples::single_class();
         let cache = CanonicalDecisionCache::new(64);
-        let q = simple(&s, "x", "y");
-        put(&cache, &s, &q, &q, true);
-        assert_eq!(get(&cache, &s, &q, &q), Some(true));
-        // An entry written under a different engine version must miss: the
-        // stamp is part of key identity, not advisory metadata.
-        let stale = ContainsKey {
-            version: ENGINE_CACHE_VERSION + 1,
-            schema: Arc::from(s.to_string().as_str()),
-            theory: s.constraints_text().clone(),
-            q1: Arc::new(canonical_form(&q)),
-            q2: Arc::new(canonical_form(&q)),
+        let key = |free: &str, k: usize| {
+            let q = if k == 0 {
+                simple(&s, free, "y")
+            } else {
+                chain(&s, k)
+            };
+            let mut key = ContainsKey::of(&handle(&s, &q), &handle(&s, &q));
+            key.hash = 0x5eed;
+            key
         };
-        assert_eq!(cache.contains.get(&stale, &cache.clock), None);
-        let current = ContainsKey {
-            version: ENGINE_CACHE_VERSION,
-            ..stale
-        };
-        assert_eq!(cache.contains.get(&current, &cache.clock), Some(true));
+        let (a, b) = (key("x", 0), key("x", 3));
+        assert_eq!(a.key_hash(), b.key_hash());
+        assert_ne!(a, b, "equality must not rest on the hash");
+        assert_eq!(a, key("renamed", 0), "content equality still holds");
+        cache.contains.put(a.clone(), true, &cache.clock);
+        cache.contains.put(b.clone(), false, &cache.clock);
+        assert_eq!(cache.contains.len(), 2);
+        assert_eq!(cache.contains.get(&a, &cache.clock), Some(true));
+        assert_eq!(cache.contains.get(&b, &cache.clock), Some(false));
+        // The singleflight table keys on the same hash and content.
+        let flights: crate::Singleflight<u8> = crate::Singleflight::new();
+        let lead = crate::JoinOutcome::Lead;
+        assert_eq!(flights.join(&FlightKey::Contains(a), || 0), lead);
+        assert_eq!(flights.join(&FlightKey::Contains(b), || 0), lead);
+    }
+
+    #[test]
+    fn a_contains_key_is_seven_words() {
+        // Hash, two fingerprint `Arc<str>`s, two canonical-form `Arc`s: a
+        // boxed tier-2 key stays in the allocation class it had before
+        // the hash was cached.
+        assert_eq!(std::mem::size_of::<ContainsKey>(), 7 * 8);
+    }
+
+    #[test]
+    fn cache_capacity_is_parsed_in_one_place() {
+        for zero in ["0", "00", " 0 ", "000\n"] {
+            assert_eq!(
+                parse_capacity(Some(zero)),
+                None,
+                "{zero:?} turns the cache off"
+            );
+        }
+        assert_eq!(parse_capacity(Some("512")), Some(512));
+        assert_eq!(parse_capacity(Some(" 64 ")), Some(64));
+        for garbage in ["", "lots", "-1", "0x10", "1e3"] {
+            assert_eq!(
+                parse_capacity(Some(garbage)),
+                Some(DEFAULT_CAPACITY),
+                "{garbage:?}"
+            );
+        }
+        assert_eq!(parse_capacity(None), Some(DEFAULT_CAPACITY));
     }
 
     #[test]
@@ -836,28 +1099,157 @@ mod tests {
             let cache = CanonicalDecisionCache::with_persistence(64, &dir, 64).unwrap();
             put(&cache, &s, &q, &q, true);
         }
-        // Re-stamp every record as if written by a different engine
-        // version — the moral equivalent of bumping ENGINE_CACHE_VERSION
-        // without rewriting history.
+        // Re-stamp every frame as if written by a different engine version
+        // — the moral equivalent of bumping ENGINE_CACHE_VERSION without
+        // rewriting history.
         let bytes = std::fs::read(log_path(&dir)).unwrap();
-        let (records, _) = persist::scan_log(&bytes);
-        assert!(!records.is_empty());
+        let (frames, _) = persist::scan_log(&bytes);
+        assert_eq!(frames.len(), 2, "one schema frame, one verdict");
         let mut rewritten = Vec::new();
-        for mut rec in records {
-            rec.version = ENGINE_CACHE_VERSION + 1;
-            rewritten.extend_from_slice(&persist::encode_record(&rec));
+        for frame in &frames {
+            persist::encode_versioned(frame, ENGINE_CACHE_VERSION + 1, &mut rewritten);
         }
         std::fs::write(log_path(&dir), rewritten).unwrap();
         let cache = CanonicalDecisionCache::with_persistence(64, &dir, 64).unwrap();
         let st = cache.persist_stats().unwrap();
-        assert_eq!(st.stale, 1);
+        assert_eq!(st.stale, 2);
         assert_eq!(st.loaded, 0);
         assert_eq!(st.entries, 0);
         assert_eq!(get(&cache, &s, &q, &q), None);
         assert_eq!(cache.persist_stats().unwrap().tier2_hits, 0);
         // Load-time compaction purged the stale records from disk.
-        let (after, _) = persist::scan_log(&std::fs::read(log_path(&dir)).unwrap());
-        assert!(after.is_empty(), "stale records survived compaction");
+        let after = std::fs::read(log_path(&dir)).unwrap();
+        assert!(
+            persist::scan_log(&after).0.is_empty(),
+            "stale records survived compaction"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One record in the version-2 layout: a single frame carrying the
+    /// version, the verdict, and the schema, theory, q1 and q2 texts.
+    fn v2_record(schema: &str, theory: &str, q1: &str, q2: &str, holds: bool) -> Vec<u8> {
+        let mut payload = 2u32.to_le_bytes().to_vec();
+        payload.push(u8::from(holds));
+        for text in [schema, theory, q1, q2] {
+            payload.extend_from_slice(&(text.len() as u32).to_le_bytes());
+            payload.extend_from_slice(text.as_bytes());
+        }
+        let mut frame = Vec::new();
+        persist::seal(&payload, &mut frame);
+        frame
+    }
+
+    #[test]
+    fn a_version_2_log_is_stale_compacted_and_never_misread() {
+        let dir = scratch("v2");
+        let s = samples::single_class();
+        let probe = chain(&s, 1);
+        let fingerprint = s.to_string();
+        let mut log = Vec::new();
+        for k in 1..=5 {
+            let q1 = oocq_query::canonical_form(&chain(&s, k)).to_wire();
+            let q2 = oocq_query::canonical_form(&probe).to_wire();
+            log.extend(v2_record(&fingerprint, "", &q1, &q2, k % 2 == 0));
+        }
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(log_path(&dir), &log).unwrap();
+        let cache = CanonicalDecisionCache::with_persistence(64, &dir, 64).unwrap();
+        let st = cache.persist_stats().unwrap();
+        assert_eq!((st.stale, st.loaded, st.corrupt, st.entries), (5, 0, 0, 0));
+        assert!(cache.is_empty(), "nothing pre-warmed from a v2 log");
+        for k in 1..=5 {
+            assert_eq!(get(&cache, &s, &chain(&s, k), &probe), None);
+        }
+        assert_eq!(cache.persist_stats().unwrap().tier2_hits, 0);
+        assert_eq!(cache.persist_stats().unwrap().compactions, 1);
+        assert!(std::fs::read(log_path(&dir)).unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn each_schema_is_logged_once_and_verdicts_carry_its_id() {
+        let dir = scratch("schema-frames");
+        let s = samples::single_class();
+        let probe = chain(&s, 1);
+        {
+            let cache = CanonicalDecisionCache::with_persistence(64, &dir, 64).unwrap();
+            for k in 1..=4 {
+                put(&cache, &s, &chain(&s, k), &probe, true);
+            }
+        }
+        let bytes = std::fs::read(log_path(&dir)).unwrap();
+        let (frames, _) = persist::scan_log(&bytes);
+        let schemas = frames
+            .iter()
+            .filter(|f| matches!(f, Frame::Schema { .. }))
+            .count();
+        assert_eq!((schemas, frames.len()), (1, 5));
+        let fingerprint = s.to_string();
+        let text_copies = bytes
+            .windows(fingerprint.len())
+            .filter(|w| *w == fingerprint.as_bytes())
+            .count();
+        assert_eq!(text_copies, 1, "the schema text is written once");
+        // A restart knows the schema is logged: one more verdict adds no
+        // schema frame.
+        let cache = CanonicalDecisionCache::with_persistence(64, &dir, 64).unwrap();
+        assert_eq!(cache.persist_stats().unwrap().compactions, 0);
+        put(&cache, &s, &chain(&s, 5), &probe, false);
+        drop(cache);
+        let bytes = std::fs::read(log_path(&dir)).unwrap();
+        let (frames, _) = persist::scan_log(&bytes);
+        assert_eq!(frames.len(), 6);
+        let id = persist::schema_id(&fingerprint, "");
+        assert!(matches!(
+            frames[5],
+            Frame::Verdict { id: i, holds: false, .. } if i == id
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn verdicts_resolve_only_to_their_own_schema_frame() {
+        let dir = scratch("schema-ids");
+        let s = samples::single_class();
+        let probe = chain(&s, 1);
+        let fingerprint = s.to_string();
+        let other = "class D {}\n";
+        let wire = |k| oocq_query::canonical_form(&chain(&s, k)).to_wire();
+        let (w1, w2, w3, p) = (wire(1), wire(2), wire(3), wire(1));
+        let verdict = |id, q1| Frame::Verdict {
+            id,
+            holds: true,
+            q1,
+            q2: &p,
+        };
+        let schema = |schema| Frame::Schema { schema, theory: "" };
+        let frames = [
+            schema(&fingerprint),
+            verdict(persist::schema_id(&fingerprint, ""), &w1),
+            // Written under `other`, whose frame comes later in the log.
+            verdict(persist::schema_id(other, ""), &w2),
+            // A repeated schema frame is dead weight, nothing more.
+            schema(&fingerprint),
+            // An id that names no schema frame of this log.
+            verdict(7, &w3),
+            schema(other),
+        ];
+        let mut log = Vec::new();
+        for f in &frames {
+            persist::encode(f, &mut log);
+        }
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(log_path(&dir), &log).unwrap();
+        let cache = CanonicalDecisionCache::with_persistence(64, &dir, 64).unwrap();
+        let st = cache.persist_stats().unwrap();
+        assert_eq!((st.loaded, st.corrupt, st.compactions), (2, 1, 1));
+        assert_eq!(get(&cache, &s, &chain(&s, 1), &probe), Some(true));
+        assert_eq!(get(&cache, &s, &chain(&s, 2), &probe), None);
+        assert_eq!(get(&cache, &s, &chain(&s, 3), &probe), None);
+        // The load rewrote the log: two schema frames, two verdicts.
+        let bytes = std::fs::read(log_path(&dir)).unwrap();
+        assert_eq!(persist::scan_log(&bytes).0.len(), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -980,11 +1372,15 @@ mod tests {
         assert_eq!(st.entries, 1);
         // The log holds the live set (plus at most the post-compaction
         // appends), not the whole flip history.
-        let (records, _) = persist::scan_log(&std::fs::read(log_path(&dir)).unwrap());
+        let bytes = std::fs::read(log_path(&dir)).unwrap();
+        let verdicts = persist::scan_log(&bytes)
+            .0
+            .iter()
+            .filter(|f| matches!(f, Frame::Verdict { .. }))
+            .count();
         assert!(
-            records.len() as u64 <= 1 + COMPACT_MIN_DEAD + 1,
-            "log kept {} records for one live key",
-            records.len()
+            verdicts as u64 <= 1 + COMPACT_MIN_DEAD + 1,
+            "log kept {verdicts} records for one live key"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

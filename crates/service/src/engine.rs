@@ -8,7 +8,7 @@
 //! by a concurrent redefinition — and the response stream reads as if the
 //! commands ran sequentially.
 
-use crate::cache::CanonicalDecisionCache;
+use crate::cache::{CanonicalDecisionCache, ContainsKey, MinimizeKey};
 use crate::flight::{FlightKey, FlightStats};
 use crate::protocol::{Request, RequestStats};
 use crate::runner::{coverage_lines, run_program_with};
@@ -129,11 +129,6 @@ pub struct ServiceEngine {
 pub const DEFAULT_MAX_CONNS: usize = 4096;
 
 impl ServiceEngine {
-    /// An engine with the default-capacity canonical cache.
-    pub fn new(base: EngineConfig) -> ServiceEngine {
-        ServiceEngine::with_cache(base, Some(Arc::new(CanonicalDecisionCache::from_env())))
-    }
-
     /// An engine with an explicit (or no) cache.
     pub fn with_cache(
         base: EngineConfig,
@@ -151,7 +146,8 @@ impl ServiceEngine {
     }
 
     /// Configuration from the environment: `OOCQ_THREADS` for the pool
-    /// size, `OOCQ_CACHE_CAPACITY` for the cache (`0` disables it),
+    /// size, `OOCQ_CACHE_CAPACITY` for the cache (any zero, such as `0` or
+    /// `00`, disables it),
     /// `OOCQ_CACHE_DIR`/`OOCQ_CACHE_PERSIST`/`OOCQ_CACHE_DISK_CAPACITY`
     /// for the disk-backed tier (see
     /// [`CanonicalDecisionCache::from_env`]),
@@ -162,14 +158,7 @@ impl ServiceEngine {
     /// default), and `OOCQ_COALESCE` (`0` disables singleflight
     /// coalescing in the reactor).
     pub fn from_env() -> ServiceEngine {
-        let cache = match std::env::var("OOCQ_CACHE_CAPACITY")
-            .ok()
-            .as_deref()
-            .map(str::trim)
-        {
-            Some("0") => None,
-            _ => Some(Arc::new(CanonicalDecisionCache::from_env())),
-        };
+        let cache = CanonicalDecisionCache::from_env().map(Arc::new);
         let positive = |var: &str| {
             std::env::var(var)
                 .ok()
@@ -427,8 +416,6 @@ impl ServiceEngine {
         let Some(ses) = snapshot else {
             return Ok(None);
         };
-        let schema = ses.prepared_schema().fingerprint().clone();
-        let theory = ses.schema().constraints_text().clone();
         match req {
             Request::Contains { q1, q2, .. } | Request::Equivalent { q1, q2, .. } => {
                 let (Ok(p1), Ok(p2)) = (ses.query(q1), ses.query(q2)) else {
@@ -442,34 +429,18 @@ impl ServiceEngine {
                     .try_shared_canonical_form(budget)
                     .map_err(|e| e.to_string())?
                     .clone();
+                let key = ContainsKey::new(ses.prepared_schema(), c1, c2);
                 Ok(Some(if matches!(req, Request::Contains { .. }) {
-                    FlightKey::Contains {
-                        schema,
-                        theory,
-                        q1: c1,
-                        q2: c2,
-                    }
+                    FlightKey::Contains(key)
                 } else {
-                    FlightKey::Equivalent {
-                        schema,
-                        theory,
-                        q1: c1,
-                        q2: c2,
-                    }
+                    FlightKey::Equivalent(key)
                 }))
             }
             Request::Minimize { query, .. } => {
                 let Ok(p) = ses.query(query) else {
                     return Ok(None);
                 };
-                // Exact rendered text, like the cache's minimize key: the
-                // output carries the user's variable names.
-                let query = p.query().display(ses.schema()).to_string();
-                Ok(Some(FlightKey::Minimize {
-                    schema,
-                    theory,
-                    query,
-                }))
+                Ok(Some(FlightKey::Minimize(MinimizeKey::of(p))))
             }
             _ => Ok(None),
         }

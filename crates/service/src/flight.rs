@@ -19,50 +19,34 @@
 //! is removed with [`Singleflight::remove_waiter`] and answered
 //! `err timeout` without disturbing the leader.
 
-use oocq_query::CanonicalQuery;
+use crate::cache::{ContainsKey, KeyBuild, MinimizeKey};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-/// The identity of one coalescable decision: the same key the canonical
-/// decision cache uses (schema fingerprint + canonical / exact forms),
-/// plus the verb — `contains` and `equiv` over the same pair are distinct
-/// computations.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// The identity of one coalescable decision: the very key the canonical
+/// decision cache builds, hash included, plus the verb — `contains` and
+/// `equiv` over the same pair are distinct computations.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FlightKey {
-    /// `contains` keyed up to isomorphism of both sides.
-    Contains {
-        /// Interned schema fingerprint.
-        schema: Arc<str>,
-        /// The schema's theory fingerprint (rendered constraint block), so
-        /// constrained and unconstrained decisions never coalesce.
-        theory: Arc<str>,
-        /// Canonical form of the left query.
-        q1: Arc<CanonicalQuery>,
-        /// Canonical form of the right query.
-        q2: Arc<CanonicalQuery>,
-    },
-    /// `equiv` keyed up to isomorphism of both sides.
-    Equivalent {
-        /// Interned schema fingerprint.
-        schema: Arc<str>,
-        /// The schema's theory fingerprint (see [`FlightKey::Contains`]).
-        theory: Arc<str>,
-        /// Canonical form of the left query.
-        q1: Arc<CanonicalQuery>,
-        /// Canonical form of the right query.
-        q2: Arc<CanonicalQuery>,
-    },
-    /// `minimize` keyed by the *exact* rendered query — its output carries
+    /// `contains`, keyed up to isomorphism of both sides.
+    Contains(ContainsKey),
+    /// `equiv`, keyed up to isomorphism of both sides.
+    Equivalent(ContainsKey),
+    /// `minimize`, keyed by the *exact* rendered query — its output carries
     /// the user's variable names (same rule as the cache).
-    Minimize {
-        /// Interned schema fingerprint.
-        schema: Arc<str>,
-        /// The schema's theory fingerprint (see [`FlightKey::Contains`]).
-        theory: Arc<str>,
-        /// The rendered query text.
-        query: String,
-    },
+    Minimize(MinimizeKey),
+}
+
+impl Hash for FlightKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(match self {
+            FlightKey::Contains(k) => k.key_hash(),
+            FlightKey::Equivalent(k) => !k.key_hash(),
+            FlightKey::Minimize(k) => k.key_hash(),
+        });
+    }
 }
 
 /// What [`Singleflight::join`] decided for a request.
@@ -96,7 +80,7 @@ pub struct FlightStats {
 /// The in-flight table. One entry per key being computed; the entry's
 /// vector holds the waiters parked behind the leader.
 pub struct Singleflight<W> {
-    inflight: Mutex<HashMap<FlightKey, Vec<W>>>,
+    inflight: Mutex<HashMap<FlightKey, Vec<W>, KeyBuild>>,
     leaders: AtomicU64,
     waiters_joined: AtomicU64,
     fanouts: AtomicU64,
@@ -107,7 +91,7 @@ impl<W> Singleflight<W> {
     /// An empty table.
     pub fn new() -> Singleflight<W> {
         Singleflight {
-            inflight: Mutex::new(HashMap::new()),
+            inflight: Mutex::new(HashMap::default()),
             leaders: AtomicU64::new(0),
             waiters_joined: AtomicU64::new(0),
             fanouts: AtomicU64::new(0),
@@ -183,12 +167,22 @@ impl<W> Default for Singleflight<W> {
 mod tests {
     use super::*;
 
+    use oocq_core::{PreparedQuery, PreparedSchema};
+    use oocq_query::QueryBuilder;
+
+    /// A one-variable query whose free variable is named `name`.
+    fn handle(name: &str) -> PreparedQuery {
+        let s = oocq_schema::samples::single_class();
+        let c = s.class_id("C").unwrap();
+        let mut b = QueryBuilder::new(name);
+        let x = b.free();
+        b.range(x, [c]);
+        PreparedQuery::new(&PreparedSchema::new(&s), b.build())
+    }
+
+    /// Minimize keys are exact, so distinct names are distinct flights.
     fn key(tag: &str) -> FlightKey {
-        FlightKey::Minimize {
-            schema: Arc::from("class C {}"),
-            theory: Arc::from(""),
-            query: tag.to_owned(),
-        }
+        FlightKey::Minimize(MinimizeKey::of(&handle(tag)))
     }
 
     #[test]
@@ -228,29 +222,26 @@ mod tests {
 
     #[test]
     fn contains_and_equiv_keys_do_not_collide() {
-        use oocq_query::canonical_form;
-        let s = oocq_schema::samples::single_class();
-        let c = s.class_id("C").unwrap();
-        let mut b = oocq_query::QueryBuilder::new("x");
-        let x = b.free();
-        b.range(x, [c]);
-        let q = Arc::new(canonical_form(&b.build()));
-        let schema: Arc<str> = Arc::from("class C {}");
-        let contains = FlightKey::Contains {
-            schema: schema.clone(),
-            theory: Arc::from(""),
-            q1: q.clone(),
-            q2: q.clone(),
-        };
-        let equiv = FlightKey::Equivalent {
-            schema,
-            theory: Arc::from(""),
-            q1: q.clone(),
-            q2: q,
-        };
+        let p = handle("x");
+        let pair = ContainsKey::new(
+            p.schema(),
+            p.canonical_form().clone(),
+            p.canonical_form().clone(),
+        );
+        let contains = FlightKey::Contains(pair.clone());
+        let equiv = FlightKey::Equivalent(pair);
         let f: Singleflight<u32> = Singleflight::new();
         assert_eq!(f.join(&contains, || unreachable!()), JoinOutcome::Lead);
         assert_eq!(f.join(&equiv, || unreachable!()), JoinOutcome::Lead);
         assert_eq!(f.stats().inflight, 2);
+        // The same pair under a renamed handle is the same flight.
+        let renamed = handle("y");
+        let again = FlightKey::Contains(ContainsKey::new(
+            renamed.schema(),
+            renamed.canonical_form().clone(),
+            renamed.canonical_form().clone(),
+        ));
+        assert_eq!(f.join(&again, || 7), JoinOutcome::Joined);
+        assert_eq!(f.complete(&contains), vec![7]);
     }
 }

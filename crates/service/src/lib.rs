@@ -27,6 +27,8 @@ mod cache;
 mod engine;
 mod flight;
 mod persist;
+#[cfg(test)]
+mod persist_fuzz;
 pub mod poll;
 mod protocol;
 pub mod reactor;

@@ -39,6 +39,11 @@ if [ "${OOCQ_CI_SKIP_HEAVY:-0}" != "1" ]; then
     # input, and Display→parse round trips that do not hold.
     echo "ci: parser mutation sweep (release, 5000 seeds)"
     cargo test -q --release --test parser_fuzz -- --ignored
+    # Decision-log mutation sweep: the same idea over the persistent
+    # cache's frames — bit flips, truncations, spliced frames, dangling
+    # and duplicate schema ids — through the log scanner and a cache open.
+    echo "ci: decision-log mutation sweep (release, 5000 seeds)"
+    cargo test -q --release -p oocq-service --lib -- --ignored persist_fuzz
     # Timing-sensitive gate: the deadline tests race the engine against a
     # wall clock, so a single green run says little about a flaky one.
     # Rerun them ten times in the shipped profile; any red run fails CI.
