@@ -98,12 +98,14 @@ struct Lexer<'a> {
 }
 
 impl<'a> Lexer<'a> {
-    fn new(input: &'a str) -> Lexer<'a> {
+    /// A lexer over `input`, which starts at `(line, col)` of a larger
+    /// text, so its positions are that text's.
+    fn at(input: &'a str, (line, col): (usize, usize)) -> Lexer<'a> {
         Lexer {
             input,
             i: 0,
-            line: 1,
-            col: 1,
+            line,
+            col,
         }
     }
 
@@ -231,6 +233,8 @@ impl<'a> Lexer<'a> {
 /// value and never moves past `Eof`.
 pub struct Cursor<'a> {
     lexer: Lexer<'a>,
+    /// Where the input starts, as `(line, col)`.
+    start: (usize, usize),
     cur: Spanned<'a>,
     ahead: Option<Spanned<'a>>,
     lex_error: Option<ParseError>,
@@ -244,15 +248,33 @@ impl<'a> Cursor<'a> {
         input: &'a str,
         parse: impl FnOnce(&mut Cursor<'a>) -> Result<T, ParseError>,
     ) -> Result<T, ParseError> {
-        let lexer = Lexer::new(input);
+        Cursor::parse_at(input, (1, 1), parse)
+    }
+
+    /// [`Cursor::parse`] over a slice of a larger text that starts at
+    /// `(line, col)` of it: token positions, and so error positions, are
+    /// the larger text's. Byte offsets stay relative to `input`.
+    pub fn parse_at<T>(
+        input: &'a str,
+        start: (usize, usize),
+        parse: impl FnOnce(&mut Cursor<'a>) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        let lexer = Lexer::at(input, start);
         let mut cursor = Cursor {
             cur: lexer.invalid(),
             lexer,
+            start,
             ahead: None,
             lex_error: None,
         };
         cursor.cur = cursor.lex();
         parse(&mut cursor).map_err(|e| cursor.first_lex_error().unwrap_or(e))
+    }
+
+    /// Where the input starts, as `(line, col)`: `(1, 1)` unless it is a
+    /// slice given to [`Cursor::parse_at`].
+    pub fn start(&self) -> (usize, usize) {
+        self.start
     }
 
     /// The next token from the lexer; `Invalid` from the first lexical
@@ -377,7 +399,7 @@ mod tests {
     use super::*;
 
     fn lex(input: &str) -> Result<Vec<Spanned<'_>>, ParseError> {
-        let mut lexer = Lexer::new(input);
+        let mut lexer = Lexer::at(input, (1, 1));
         let mut out = Vec::new();
         loop {
             let t = lexer.token()?;

@@ -23,8 +23,8 @@
 
 use crate::error::ParseError;
 use crate::lexer::{Cursor, Tok};
-use crate::query_parser::parse_query;
-use crate::schema_parser::parse_schema;
+use crate::query_parser::parse_query_at;
+use crate::schema_parser::parse_schema_at;
 use oocq_query::Query;
 use oocq_schema::Schema;
 
@@ -67,7 +67,9 @@ impl Program {
 }
 
 /// Split the raw text around the `schema { … }` block and per-line
-/// constructs, then delegate to the schema/query parsers.
+/// constructs, then delegate to the schema/query parsers. The delegated
+/// parsers lex their slices from the slices' own positions, so every error
+/// is positioned in `input`.
 pub fn parse_program(input: &str) -> Result<Program, ParseError> {
     Cursor::parse(input, |cur| program(input, cur))
 }
@@ -86,7 +88,11 @@ fn program<'a>(input: &'a str, cur: &mut Cursor<'a>) -> Result<Program, ParseErr
     let Some((open, close)) = cur.balanced() else {
         return Err(kw.error("unterminated schema block"));
     };
-    let schema = parse_schema(&input[open.offset + 1..close.offset])?;
+    // The block starts one char after its `{`.
+    let schema = parse_schema_at(
+        &input[open.offset + 1..close.offset],
+        (open.line, open.col + 1),
+    )?;
 
     let mut queries: Vec<(String, Query)> = Vec::new();
     let mut commands: Vec<Command> = Vec::new();
@@ -110,7 +116,11 @@ fn program<'a>(input: &'a str, cur: &mut Cursor<'a>) -> Result<Program, ParseErr
                 let Some((open, close)) = cur.balanced() else {
                     return Err(body.error("unterminated query body"));
                 };
-                let q = parse_query(&schema, &input[open.offset..=close.offset])?;
+                let q = parse_query_at(
+                    &schema,
+                    &input[open.offset..=close.offset],
+                    (open.line, open.col),
+                )?;
                 if queries.iter().any(|(n, _)| n == name) {
                     return Err(t.error(format!("query `{name}` defined twice")));
                 }

@@ -66,7 +66,17 @@ impl QueryScope<'_, '_> {
 
 /// Parse a single conjunctive query against a schema.
 pub fn parse_query(schema: &Schema, input: &str) -> Result<Query, ParseError> {
-    Cursor::parse(input, |cur| {
+    parse_query_at(schema, input, (1, 1))
+}
+
+/// [`parse_query`] of a slice of a larger text that starts at
+/// `(line, col)` of it, with errors positioned in the larger text.
+pub(crate) fn parse_query_at(
+    schema: &Schema,
+    input: &str,
+    start: (usize, usize),
+) -> Result<Query, ParseError> {
+    Cursor::parse_at(input, start, |cur| {
         let q = one_query(cur, schema)?;
         cur.expect(Tok::Eof)?;
         Ok(q)

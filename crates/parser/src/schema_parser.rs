@@ -50,6 +50,12 @@ pub fn parse_schema(input: &str) -> Result<Schema, ParseError> {
     Cursor::parse(input, schema)
 }
 
+/// [`parse_schema`] of a slice of a larger text that starts at
+/// `(line, col)` of it, with errors positioned in the larger text.
+pub(crate) fn parse_schema_at(input: &str, start: (usize, usize)) -> Result<Schema, ParseError> {
+    Cursor::parse_at(input, start, schema)
+}
+
 fn schema(cur: &mut Cursor<'_>) -> Result<Schema, ParseError> {
     let mut raw: Vec<RawClass<'_>> = Vec::new();
     let mut raw_constraints: Vec<(RawConstraint<'_>, Spanned<'_>)> = Vec::new();
@@ -121,7 +127,7 @@ fn schema(cur: &mut Cursor<'_>) -> Result<Schema, ParseError> {
                 .map_err(|e| schema_err(at, e))?;
         }
     }
-    let mut finish_at = (1, 1);
+    let mut finish_at = cur.start();
     for &(ref rc, at) in &raw_constraints {
         let class = |n: &str| {
             b.class_id(n)

@@ -27,10 +27,11 @@
 //! classes near-singleton after refinement.
 
 use crate::atom::Atom;
-use crate::isomorphism::{dedup_atoms, signature_keys, KeyArena, Signatures};
+use crate::isomorphism::{dedup_atoms_into, recycle, signature_keys, KeyArena, Signatures};
 use crate::query::Query;
 use crate::term::{Term, VarId};
 use oocq_schema::{AttrId, ClassId};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 
@@ -366,9 +367,90 @@ fn rank_by(
 /// atoms).
 const NO_NEIGHBOR: u32 = u32::MAX;
 
-/// The stable coloring: initial signatures (free variable seeded with a
-/// distinct marker), refined until the number of color classes stops
-/// growing.
+/// The buffers of one labeling, kept per thread between labelings so a
+/// labeling allocates little more than the form it returns. Items that
+/// borrow the labeled query are stored under `'static` while idle and
+/// [`recycle`]d to the query's lifetime for the duration of a labeling.
+#[derive(Default)]
+struct Scratch {
+    /// The query's atoms, sorted and deduplicated.
+    atoms: Vec<&'static Atom>,
+    coloring: Coloring,
+    /// Variables grouped by color class, classes in color order.
+    members: Vec<VarId>,
+    /// Class `i` is `members[bounds[i]..bounds[i + 1]]`.
+    bounds: Vec<usize>,
+    /// Next free slot of each class while `members` is filled.
+    fill: Vec<usize>,
+    order: Vec<VarId>,
+    used: Vec<bool>,
+    map: Vec<VarId>,
+    cand: Vec<LightAtom<'static>>,
+    best: Vec<LightAtom<'static>>,
+}
+
+/// Scratch buffers larger than this many bytes are dropped after a
+/// labeling rather than kept, so one huge query does not pin its buffers
+/// in every thread that labeled it.
+const SCRATCH_KEEP_BYTES: usize = 64 * 1024;
+
+impl Scratch {
+    /// Drop every buffer above [`SCRATCH_KEEP_BYTES`].
+    fn trim(&mut self) {
+        fn keep<T>(v: &mut Vec<T>) {
+            if v.capacity() * std::mem::size_of::<T>() > SCRATCH_KEEP_BYTES {
+                *v = Vec::new();
+            }
+        }
+        let c = &mut self.coloring;
+        if c.keys.footprint() > SCRATCH_KEEP_BYTES {
+            c.keys = KeyArena::default();
+        }
+        if c.sig.footprint() > SCRATCH_KEEP_BYTES {
+            c.sig = Signatures::default();
+        }
+        keep(&mut c.key_sort);
+        keep(&mut c.ranks);
+        keep(&mut c.sig_inc);
+        keep(&mut c.by_key);
+        keep(&mut c.color);
+        keep(&mut c.next);
+        keep(&mut c.inc);
+        keep(&mut c.start);
+        keep(&mut c.round);
+        keep(&mut self.atoms);
+        keep(&mut self.members);
+        keep(&mut self.bounds);
+        keep(&mut self.fill);
+        keep(&mut self.order);
+        keep(&mut self.used);
+        keep(&mut self.map);
+        keep(&mut self.cand);
+        keep(&mut self.best);
+    }
+}
+
+/// The buffers of [`stable_coloring`]; the coloring it computes is left in
+/// `color`.
+#[derive(Default)]
+struct Coloring {
+    keys: KeyArena,
+    key_sort: Vec<(&'static [u8], u32)>,
+    ranks: Vec<u32>,
+    sig_inc: Vec<(u32, u32)>,
+    sig: Signatures,
+    by_key: Vec<usize>,
+    color: Vec<usize>,
+    next: Vec<usize>,
+    /// (variable, static key, neighbor variable) per refinement incidence.
+    inc: Vec<(u32, u32, u32)>,
+    start: Vec<usize>,
+    round: Vec<(u32, u32)>,
+}
+
+/// The stable coloring, left in `c.color`: initial signatures (free
+/// variable seeded with a distinct marker), refined until the number of
+/// color classes stops growing.
 ///
 /// A refinement round folds each variable's incidences — atom kind plus the
 /// current color of the other variable in the atom — into its color. The
@@ -384,26 +466,38 @@ const NO_NEIGHBOR: u32 = u32::MAX;
 /// A round never merges classes (the old color leads the new key), so a
 /// coloring with one class per variable is already stable: a further round
 /// could only confirm it. Both places where that happens return at once.
-fn stable_coloring(atoms: &[&Atom], var_count: usize, free: VarId) -> Vec<usize> {
-    let mut keys = KeyArena::for_atoms(atoms.len());
-    let mut sig_inc = Vec::with_capacity(2 * atoms.len());
-    signature_keys(atoms, &mut keys, &mut sig_inc);
-    let sig = Signatures::of(var_count, &sig_inc, &keys.ranks());
+fn stable_coloring(atoms: &[&Atom], var_count: usize, free: VarId, c: &mut Coloring) {
+    let Coloring {
+        keys,
+        key_sort,
+        ranks,
+        sig_inc,
+        sig,
+        by_key,
+        color,
+        next,
+        inc,
+        start,
+        round,
+    } = c;
+    keys.clear();
+    sig_inc.clear();
+    signature_keys(atoms, keys, sig_inc);
+    keys.ranks_into(key_sort, ranks);
+    sig.fill(var_count, sig_inc, ranks);
 
     // Initial colors: rank of (is bound, signature).
     let free = free.index();
-    let mut by_key = Vec::with_capacity(var_count);
-    let mut color = Vec::with_capacity(var_count);
-    let mut classes = rank_by(var_count, &mut by_key, &mut color, |a, b| {
+    let mut classes = rank_by(var_count, by_key, color, |a, b| {
         ((a != free), sig.of_var(a)).cmp(&((b != free), sig.of_var(b)))
     });
     if classes == var_count {
-        return color;
+        return;
     }
 
     // (variable, static key, neighbor variable) per refinement incidence.
     keys.clear();
-    let mut inc: Vec<(u32, u32, u32)> = Vec::with_capacity(2 * atoms.len());
+    inc.clear();
     let var = |v: VarId| v.index() as u32;
     for a in atoms {
         match a {
@@ -441,25 +535,26 @@ fn stable_coloring(atoms: &[&Atom], var_count: usize, free: VarId) -> Vec<usize>
     for c in 0..var_count {
         keys.dec(c).end();
     }
-    let ranks = keys.ranks();
-    for (_, key, _) in &mut inc {
+    keys.ranks_into(key_sort, ranks);
+    for (_, key, _) in inc.iter_mut() {
         *key = ranks[*key as usize];
     }
     let color_rank = |c: usize| ranks[first_color_key + c];
 
     // Group incidences by variable once; each round rewrites their keys.
     inc.sort_unstable_by_key(|&(v, _, _)| v);
-    let mut start = vec![0usize; var_count + 1];
-    for &(v, _, _) in &inc {
+    start.clear();
+    start.resize(var_count + 1, 0);
+    for &(v, _, _) in inc.iter() {
         start[v as usize + 1] += 1;
     }
     for v in 0..var_count {
         start[v + 1] += start[v];
     }
-    let mut round: Vec<(u32, u32)> = vec![(0, 0); inc.len()];
-    let mut next = Vec::with_capacity(var_count);
+    round.clear();
+    round.resize(inc.len(), (0, 0));
     loop {
-        for (slot, &(_, key, other)) in round.iter_mut().zip(&inc) {
+        for (slot, &(_, key, other)) in round.iter_mut().zip(inc.iter()) {
             let suffix = if other == NO_NEIGHBOR {
                 0
             } else {
@@ -471,14 +566,14 @@ fn stable_coloring(atoms: &[&Atom], var_count: usize, free: VarId) -> Vec<usize>
             round[start[v]..start[v + 1]].sort_unstable();
         }
         let of = |v: usize| (color[v], &round[start[v]..start[v + 1]]);
-        let next_classes = rank_by(var_count, &mut by_key, &mut next, |a, b| of(a).cmp(&of(b)));
+        let next_classes = rank_by(var_count, by_key, next, |a, b| of(a).cmp(&of(b)));
         if next_classes == classes {
-            return color;
+            return;
         }
+        std::mem::swap(color, next);
         if next_classes == var_count {
-            return next;
+            return;
         }
-        std::mem::swap(&mut color, &mut next);
         classes = next_classes;
     }
 }
@@ -497,9 +592,10 @@ struct Search<'a> {
     map: Vec<VarId>,
     /// The current leaf's normalized atoms.
     cand: Vec<LightAtom<'a>>,
-    /// The least normalized atom vector so far (`None` before the first
-    /// leaf).
-    best: Option<Vec<LightAtom<'a>>>,
+    /// The least normalized atom vector so far (meaningful once `found`).
+    best: Vec<LightAtom<'a>>,
+    /// Has a leaf been visited?
+    found: bool,
 }
 
 impl<'a> Search<'a> {
@@ -549,10 +645,12 @@ impl<'a> Search<'a> {
             .extend(self.atoms.iter().map(|a| LightAtom::mapped(a, map)));
         self.cand.sort_unstable();
         self.cand.dedup();
-        match &mut self.best {
-            Some(best) if *best <= self.cand => {}
-            Some(best) => std::mem::swap(best, &mut self.cand),
-            None => self.best = Some(self.cand.clone()),
+        if !self.found {
+            self.found = true;
+            self.best.clear();
+            self.best.extend_from_slice(&self.cand);
+        } else if self.cand < self.best {
+            std::mem::swap(&mut self.best, &mut self.cand);
         }
     }
 }
@@ -574,56 +672,105 @@ pub fn canonical_form(q: &Query) -> CanonicalQuery {
 /// engines — should route through this entry and map their budget's
 /// timeout error into `E`. A charge that never fails makes this identical
 /// to [`canonical_form`].
+///
+/// The labeling works in buffers kept per thread, so it allocates little
+/// beyond the form it returns (a reentrant call, or one during thread
+/// teardown, uses buffers of its own).
 pub fn canonical_form_budgeted<E>(
     q: &Query,
     charge: &mut impl FnMut(u64) -> Result<(), E>,
 ) -> Result<CanonicalQuery, E> {
-    let atoms = dedup_atoms(q);
+    thread_local! {
+        static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+    }
+    SCRATCH
+        .try_with(|cell| match cell.try_borrow_mut() {
+            Ok(mut scratch) => label(q, charge, &mut scratch),
+            Err(_) => label(q, charge, &mut Scratch::default()),
+        })
+        .unwrap_or_else(|_| label(q, charge, &mut Scratch::default()))
+}
+
+/// [`canonical_form_budgeted`] over the given buffers.
+fn label<E>(
+    q: &Query,
+    charge: &mut impl FnMut(u64) -> Result<(), E>,
+    s: &mut Scratch,
+) -> Result<CanonicalQuery, E> {
+    let mut atoms: Vec<&Atom> = recycle(std::mem::take(&mut s.atoms));
+    dedup_atoms_into(q, &mut atoms);
     let n = q.var_count();
-    let color = stable_coloring(&atoms, n, q.free_var());
+    stable_coloring(&atoms, n, q.free_var(), &mut s.coloring);
+    let color = &s.coloring.color;
     // Group variables by color, classes sorted by color (ascending), each
     // class in variable order. Colors are dense ranks, so no class is
     // empty. The free variable's seed marker gives it the unique least
     // color, so it always lands at canonical position 0.
     let class_count = color.iter().copied().max().map_or(0, |c| c + 1);
-    let mut bounds = vec![0usize; class_count + 1];
-    for &c in &color {
+    let bounds = &mut s.bounds;
+    bounds.clear();
+    bounds.resize(class_count + 1, 0);
+    for &c in color {
         bounds[c + 1] += 1;
     }
     for c in 0..class_count {
         bounds[c + 1] += bounds[c];
     }
-    let mut fill = bounds.clone();
-    let mut members = vec![VarId::from_index(0); n];
+    s.fill.clear();
+    s.fill.extend_from_slice(bounds);
+    s.members.clear();
+    s.members.resize(n, VarId::from_index(0));
     for v in q.vars() {
         let c = color[v.index()];
-        members[fill[c]] = v;
-        fill[c] += 1;
+        s.members[s.fill[c]] = v;
+        s.fill[c] += 1;
     }
     debug_assert_eq!(
-        &members[..bounds[1]],
+        &s.members[..s.bounds[1]],
         [q.free_var()],
         "free var has least color"
     );
 
+    let mut order = std::mem::take(&mut s.order);
+    order.clear();
+    let mut used = std::mem::take(&mut s.used);
+    used.clear();
+    used.resize(n, false);
+    let mut map = std::mem::take(&mut s.map);
+    map.clear();
+    map.resize(n, VarId::from_index(0));
     let mut search = Search {
         atoms: &atoms,
-        members: &members,
-        bounds: &bounds,
-        order: Vec::with_capacity(n),
-        used: vec![false; n],
-        map: vec![VarId::from_index(0); n],
-        cand: Vec::with_capacity(atoms.len()),
-        best: None,
+        members: &s.members,
+        bounds: &s.bounds,
+        order,
+        used,
+        map,
+        cand: recycle(std::mem::take(&mut s.cand)),
+        best: recycle(std::mem::take(&mut s.best)),
+        found: false,
     };
-    search.run(0, 0, charge)?;
-    let best = search
-        .best
-        .expect("canonical search visits at least one labeling");
-    Ok(CanonicalQuery::new(
-        n,
-        best.into_iter().map(LightAtom::to_atom).collect(),
-    ))
+    let out = search.run(0, 0, charge).map(|()| {
+        assert!(
+            search.found,
+            "canonical search visits at least one labeling"
+        );
+        CanonicalQuery::new(n, search.best.iter().map(|a| a.to_atom()).collect())
+    });
+    let Search {
+        order,
+        used,
+        map,
+        cand,
+        best,
+        ..
+    } = search;
+    (s.order, s.used, s.map) = (order, used, map);
+    s.cand = recycle(cand);
+    s.best = recycle(best);
+    s.atoms = recycle(atoms);
+    s.trim();
+    out
 }
 
 /// The string-keyed labeler this module's byte-arena labeler replaced,

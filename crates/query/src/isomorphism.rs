@@ -22,6 +22,7 @@ use oocq_schema::{AttrId, ClassId};
 /// by a hand-written writer into one byte buffer. Ranking the keys by byte
 /// slice then reproduces the string order — including quirks such as
 /// `ClassId(12)` sorting before `ClassId(3)` — without a `String` per key.
+#[derive(Default)]
 pub(crate) struct KeyArena {
     bytes: Vec<u8>,
     /// End offset of each closed key; key `i` starts where key `i - 1`
@@ -105,14 +106,23 @@ impl KeyArena {
     /// The dense rank of every closed key in byte order; equal keys share a
     /// rank.
     pub(crate) fn ranks(&self) -> Vec<u32> {
-        let mut keys: Vec<(&[u8], u32)> = Vec::with_capacity(self.ends.len());
+        let mut ranks = Vec::new();
+        self.ranks_into(&mut Vec::new(), &mut ranks);
+        ranks
+    }
+
+    /// [`KeyArena::ranks`] into `ranks`, sorting in `sort`; both buffers
+    /// are reused.
+    pub(crate) fn ranks_into(&self, sort: &mut Vec<(&'static [u8], u32)>, ranks: &mut Vec<u32>) {
+        let mut keys: Vec<(&[u8], u32)> = recycle(std::mem::take(sort));
         let mut start = 0;
         for (i, &end) in self.ends.iter().enumerate() {
             keys.push((&self.bytes[start..end as usize], i as u32));
             start = end as usize;
         }
         keys.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut ranks = vec![0; keys.len()];
+        ranks.clear();
+        ranks.resize(keys.len(), 0);
         let mut rank = 0;
         for (pos, &(key, i)) in keys.iter().enumerate() {
             if pos > 0 && key != keys[pos - 1].0 {
@@ -120,17 +130,41 @@ impl KeyArena {
             }
             ranks[i as usize] = rank;
         }
-        ranks
+        *sort = recycle(keys);
     }
+
+    /// The bytes of buffer this arena holds on to.
+    pub(crate) fn footprint(&self) -> usize {
+        self.bytes.capacity() + 4 * self.ends.capacity()
+    }
+}
+
+/// An empty vector that reuses `v`'s buffer for another element type of
+/// the same size and alignment — in practice the same type under another
+/// lifetime, which is how per-thread scratch buffers hold borrowed items
+/// between calls. No element is ever converted (the vector is emptied
+/// first), and the standard library collects a mapped `IntoIter` in place.
+pub(crate) fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector was emptied"))
+        .collect()
 }
 
 /// The atoms of `q` sorted and deduplicated, borrowed rather than cloned:
 /// what [`Query::dedup_atoms`] would leave, without copying the query.
 pub(crate) fn dedup_atoms(q: &Query) -> Vec<&Atom> {
-    let mut atoms: Vec<&Atom> = q.atoms().iter().collect();
+    let mut atoms = Vec::new();
+    dedup_atoms_into(q, &mut atoms);
+    atoms
+}
+
+/// [`dedup_atoms`] into a reused buffer.
+pub(crate) fn dedup_atoms_into<'q>(q: &'q Query, atoms: &mut Vec<&'q Atom>) {
+    atoms.clear();
+    atoms.extend(q.atoms());
     atoms.sort_unstable();
     atoms.dedup();
-    atoms
 }
 
 /// Write the signature key of every (atom, variable) incidence into `keys`
@@ -175,25 +209,39 @@ pub(crate) fn signature_keys(atoms: &[&Atom], keys: &mut KeyArena, out: &mut Vec
 /// variable's incidences. Runs compare exactly like the
 /// `BTreeMap<key string, count>` they encode, because key ranks follow the
 /// key strings' order.
+#[derive(Default)]
 pub(crate) struct Signatures {
     runs: Vec<(u32, u32)>,
     /// `runs[start[v]..start[v + 1]]` belong to variable `v`.
     start: Vec<u32>,
+    /// Sorting buffer, kept for reuse.
+    sorted: Vec<(u32, u32)>,
 }
 
 impl Signatures {
     /// Group `incidences` (from [`signature_keys`]) of a query with
     /// `var_count` variables, ranking keys through `ranks`.
     pub(crate) fn of(var_count: usize, incidences: &[(u32, u32)], ranks: &[u32]) -> Signatures {
-        let mut sorted: Vec<(u32, u32)> = incidences
-            .iter()
-            .map(|&(v, key)| (v, ranks[key as usize]))
-            .collect();
+        let mut sig = Signatures::default();
+        sig.fill(var_count, incidences, ranks);
+        sig
+    }
+
+    /// [`Signatures::of`] into this value's buffers.
+    pub(crate) fn fill(&mut self, var_count: usize, incidences: &[(u32, u32)], ranks: &[u32]) {
+        let Signatures {
+            runs,
+            start,
+            sorted,
+        } = self;
+        sorted.clear();
+        sorted.extend(incidences.iter().map(|&(v, key)| (v, ranks[key as usize])));
         sorted.sort_unstable();
-        let mut runs: Vec<(u32, u32)> = Vec::with_capacity(sorted.len());
-        let mut start = vec![0u32; var_count + 1];
+        runs.clear();
+        start.clear();
+        start.resize(var_count + 1, 0);
         let mut prev: Option<(u32, u32)> = None;
-        for &(v, rank) in &sorted {
+        for &(v, rank) in sorted.iter() {
             if prev == Some((v, rank)) {
                 runs.last_mut().expect("a run is open").1 += 1;
             } else {
@@ -206,7 +254,11 @@ impl Signatures {
         for v in 0..var_count {
             start[v + 1] = start[v + 1].max(start[v]);
         }
-        Signatures { runs, start }
+    }
+
+    /// The bytes of buffer this value holds on to.
+    pub(crate) fn footprint(&self) -> usize {
+        8 * (self.runs.capacity() + self.sorted.capacity()) + 4 * self.start.capacity()
     }
 
     pub(crate) fn of_var(&self, v: usize) -> &[(u32, u32)] {

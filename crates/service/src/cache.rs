@@ -61,7 +61,7 @@ use crate::persist::{self, Frame};
 use oocq_core::{DecisionCache, PreparedQuery, PreparedSchema};
 use oocq_query::{key_hash, CanonicalQuery, UnionQuery};
 use std::collections::hash_map::{Entry as MapEntry, RandomState};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::io;
 use std::path::Path;
@@ -281,6 +281,11 @@ struct Entry<V> {
 /// One shard of an LRU table.
 type Shard<Q, V> = RwLock<HashMap<DecisionKey<Q>, Entry<V>, KeyBuild>>;
 
+/// The shard index of a key: bits 32.. of its hash (see [`Lru::shard`]).
+fn shard_of<Q>(key: &DecisionKey<Q>) -> usize {
+    (key.hash >> 32) as usize % SHARD_COUNT
+}
+
 /// One sharded LRU table.
 struct Lru<Q, V> {
     shards: Vec<Shard<Q, V>>,
@@ -301,7 +306,7 @@ impl<Q: Eq + Clone, V: Clone> Lru<Q, V> {
     /// its bucket from the low bits and its tag from the top seven, so
     /// neither repeats within a shard.
     fn shard(&self, key: &DecisionKey<Q>) -> &Shard<Q, V> {
-        &self.shards[(key.hash >> 32) as usize % SHARD_COUNT]
+        &self.shards[shard_of(key)]
     }
 
     fn get(&self, key: &DecisionKey<Q>, clock: &AtomicU64) -> Option<V> {
@@ -329,6 +334,35 @@ impl<Q: Eq + Clone, V: Clone> Lru<Q, V> {
             }
         }
         false
+    }
+
+    /// Fill an empty table with what [`Lru::put`] of every record in
+    /// order would leave in it, without the evictions: per shard, the last
+    /// `per_shard_cap` distinct keys of `records`, each with the value of
+    /// its last record, stamped in the order of those last records.
+    fn fill(&self, records: Vec<(DecisionKey<Q>, V)>, clock: &AtomicU64) {
+        let mut room = [self.per_shard_cap; SHARD_COUNT];
+        let mut keep = vec![false; records.len()];
+        {
+            let mut seen: HashSet<&DecisionKey<Q>, KeyBuild> = HashSet::default();
+            for (i, (key, _)) in records.iter().enumerate().rev() {
+                let shard = shard_of(key);
+                if seen.insert(key) && room[shard] > 0 {
+                    room[shard] -= 1;
+                    keep[i] = true;
+                }
+            }
+        }
+        for ((key, value), kept) in records.into_iter().zip(keep) {
+            if kept {
+                let stamp = AtomicU64::new(clock.fetch_add(1, Relaxed) + 1);
+                let mut shard = self
+                    .shard(&key)
+                    .write()
+                    .expect("a tier-1 shard is poisoned");
+                shard.insert(key, Entry { value, stamp });
+            }
+        }
     }
 
     fn len(&self) -> usize {
@@ -649,6 +683,7 @@ impl CanonicalDecisionCache {
                 }
             }
         }
+        let mut warm = Vec::new();
         for frame in frames {
             let &Frame::Verdict { id, holds, q1, q2 } = frame else {
                 continue;
@@ -671,10 +706,12 @@ impl CanonicalDecisionCache {
             } else {
                 t2.loaded.fetch_add(1, Relaxed);
             }
-            // Pre-warm tier 1. Overflow here is not a runtime eviction, so
-            // the counter stays untouched.
-            self.contains.put(key, holds, &self.clock);
+            warm.push((key, holds));
         }
+        // Pre-warm tier 1 with the records a put of each would have left
+        // there. Overflow here is not a runtime eviction, so the counter
+        // stays untouched.
+        self.contains.fill(warm, &self.clock);
         st.schemas.0 = bound
             .into_iter()
             .filter_map(|(id, scope)| Some((scope?.0, id)))
@@ -970,6 +1007,46 @@ mod tests {
         let lead = crate::JoinOutcome::Lead;
         assert_eq!(flights.join(&FlightKey::Contains(a), || 0), lead);
         assert_eq!(flights.join(&FlightKey::Contains(b), || 0), lead);
+    }
+
+    /// Replay pre-warms tier 1 by [`Lru::fill`] instead of one `put` per
+    /// replayed record. On a log four times the size of tier 1, with
+    /// repeated keys whose later records carry other values, both leave
+    /// the same entries, values and LRU order in every shard.
+    #[test]
+    fn prewarm_fill_leaves_what_replayed_puts_leave() {
+        let s = samples::single_class();
+        let keys: Vec<MinimizeKey> = (1..=96)
+            .map(|k| MinimizeKey::of(&handle(&s, &chain(&s, k))))
+            .collect();
+        const TIER1: usize = 64;
+        let records: Vec<(MinimizeKey, bool)> = (0..4 * TIER1)
+            .map(|i| (keys[(i * 7 + i / 3) % keys.len()].clone(), i % 3 == 0))
+            .collect();
+        let clock = AtomicU64::new(0);
+        let replayed: Lru<String, bool> = Lru::new(TIER1);
+        for (key, value) in records.clone() {
+            replayed.put(key, value, &clock);
+        }
+        let filled: Lru<String, bool> = Lru::new(TIER1);
+        filled.fill(records, &clock);
+        let by_stamp = |lru: &Lru<String, bool>| -> Vec<Vec<(String, bool)>> {
+            lru.shards
+                .iter()
+                .map(|shard| {
+                    let shard = shard.read().unwrap();
+                    let mut entries: Vec<(u64, String, bool)> = shard
+                        .iter()
+                        .map(|(k, e)| (e.stamp.load(Relaxed), k.operands.clone(), e.value))
+                        .collect();
+                    entries.sort();
+                    entries.into_iter().map(|(_, k, v)| (k, v)).collect()
+                })
+                .collect()
+        };
+        assert_eq!(replayed.len(), filled.len());
+        assert!(filled.len() > TIER1 / 2, "tier 1 is mostly full");
+        assert_eq!(by_stamp(&replayed), by_stamp(&filled));
     }
 
     #[test]

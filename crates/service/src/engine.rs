@@ -1,12 +1,19 @@
 //! The shared service engine: named schema sessions, decision execution,
 //! and per-request statistics.
 //!
-//! Sessions are immutable snapshots. `schema`/`query` commands build a new
-//! [`Session`] value and swap the `Arc` in under a short write lock;
-//! decision requests capture the `Arc` **at dispatch time, in input
-//! order**, so a worker still computing against an old schema is unaffected
-//! by a concurrent redefinition — and the response stream reads as if the
-//! commands ran sequentially.
+//! Sessions are updated in place. `schema` replaces a session, `query`
+//! inserts or replaces one binding, and `constraint` re-prepares the
+//! session's bindings, each under the session table's write lock. A
+//! decision request does not hold on to its session: when it is read, in
+//! input order, [`ServiceEngine::snapshot_for`] resolves its names to the
+//! handles they are bound to at that moment and returns them as a
+//! [`Capture`] (the [`PreparedSchema`] plus one or two [`PreparedQuery`]
+//! handles, each an `Arc` clone). A worker runs the request against the
+//! capture and never looks a name up, so a later redefinition cannot reach
+//! a request already read, and the response stream reads as if the
+//! commands ran one after another. Binding a name costs the same however
+//! many names the session holds; a session holds at most
+//! [`MAX_SESSION_QUERIES`] of them.
 
 use crate::cache::{CanonicalDecisionCache, ContainsKey, MinimizeKey};
 use crate::flight::{FlightKey, FlightStats};
@@ -25,37 +32,78 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-/// An immutable snapshot of one named session: a prepared schema plus the
-/// prepared queries defined against it.
+/// The most query names one session may bind. Redefining a bound name
+/// always works; a new name beyond this is answered with an error. A
+/// binding (name, handle, parsed query and the handle's empty memo cells)
+/// measured 1.4 KiB of resident memory for `{ x | x in C }` and 1.8 KiB
+/// for an eight-atom query, so a full session holds 180–240 MiB before any
+/// decision memoizes artifacts on its handles.
+pub const MAX_SESSION_QUERIES: usize = 1 << 17;
+
+/// One named session: a prepared schema plus the prepared queries bound
+/// against it.
 ///
 /// Holding [`PreparedSchema`]/[`PreparedQuery`] handles (rather than raw
 /// values) means a named query is analyzed at most once for as long as its
-/// binding lives: snapshots clone the handles (`Arc` pointer copies), so
+/// binding lives: captures clone the handles (`Arc` pointer copies), so
 /// analysis, terminal classes, canonical form, and branch indexes built by
-/// one request are visible to every later request against any snapshot that
-/// still carries the binding.
-pub struct Session {
-    name: String,
+/// one request are visible to every later request that captured the same
+/// binding.
+struct Session {
     schema: PreparedSchema,
     queries: HashMap<String, PreparedQuery>,
 }
 
-impl Session {
-    /// The session's schema.
-    pub fn schema(&self) -> &Schema {
+/// What a decision request resolved when it was read: its session's
+/// schema and the handles its one or two query names were bound to, in
+/// argument order. An unbound name is kept as `None` and reported when the
+/// request runs, in its place in the response order.
+pub struct Capture {
+    schema: PreparedSchema,
+    queries: [Option<PreparedQuery>; 2],
+}
+
+impl Capture {
+    /// The captured session's schema.
+    pub(crate) fn schema(&self) -> &Schema {
         self.schema.schema()
     }
 
-    /// The session's prepared schema handle.
-    pub fn prepared_schema(&self) -> &PreparedSchema {
+    /// The captured session's prepared schema handle.
+    pub(crate) fn prepared_schema(&self) -> &PreparedSchema {
         &self.schema
     }
 
-    pub(crate) fn query(&self, q: &str) -> Result<&PreparedQuery, String> {
-        self.queries
-            .get(q)
-            .ok_or_else(|| format!("unknown query `{q}` in session `{}`", self.name))
+    /// The handle of the request's `slot`-th query name (`name`), or the
+    /// error an unbound name answers.
+    fn query(&self, slot: usize, name: &str, session: &str) -> Result<&PreparedQuery, String> {
+        self.queries[slot]
+            .as_ref()
+            .ok_or_else(|| format!("unknown query `{name}` in session `{session}`"))
     }
+}
+
+/// The session and query names a decision request reads, or `None` for a
+/// request that reads no session (`run`).
+fn request_names(req: &Request) -> Option<(&str, [Option<&str>; 2])> {
+    match req {
+        Request::Satisfiable { session, query }
+        | Request::Expand { session, query }
+        | Request::Minimize { session, query } => Some((session, [Some(query), None])),
+        Request::Contains { session, q1, q2 }
+        | Request::Equivalent { session, q1, q2 }
+        | Request::Explain { session, q1, q2 } => Some((session, [Some(q1), Some(q2)])),
+        Request::Limited { inner, .. } => request_names(inner),
+        _ => None,
+    }
+}
+
+/// Why a session-table lock can fail: a thread panicked while holding it.
+/// Every update leaves the table whole, but a panic there is a bug.
+const POISONED: &str = "a thread panicked while holding the session table";
+
+fn unknown_session(name: &str) -> String {
+    format!("unknown session `{name}` (define it with `schema {name} <text>`)")
 }
 
 /// A per-request cache view: delegates to the shared cache (when enabled)
@@ -111,7 +159,7 @@ impl DecisionCache for CountingView {
 pub struct ServiceEngine {
     cache: Option<Arc<CanonicalDecisionCache>>,
     base: EngineConfig,
-    sessions: RwLock<HashMap<String, Arc<Session>>>,
+    sessions: RwLock<HashMap<String, Session>>,
     /// Per-request wall-clock deadline (`OOCQ_DEADLINE_MS`); the budget's
     /// clock starts when the request begins executing, not at config time.
     deadline: Option<Duration>,
@@ -244,105 +292,106 @@ impl ServiceEngine {
     pub fn define_schema(&self, session: &str, text: &str) -> Result<String, String> {
         let schema = parse_schema(text).map_err(|e| format!("parse error at {e}"))?;
         let classes = schema.class_count();
-        let snapshot = Arc::new(Session {
-            name: session.to_owned(),
+        let fresh = Session {
             schema: PreparedSchema::from_arc(Arc::new(schema)),
             queries: HashMap::new(),
-        });
+        };
         self.sessions
             .write()
-            .unwrap()
-            .insert(session.to_owned(), snapshot);
+            .expect(POISONED)
+            .insert(session.to_owned(), fresh);
         Ok(format!("session {session}: {classes} classes"))
     }
 
-    /// Bind (or rebind) a named query in a session — copy-on-write: the
-    /// old snapshot stays valid for requests already dispatched against it.
+    /// Bind (or rebind) a named query in a session, in place. Requests
+    /// captured earlier keep the handle they resolved. The query is parsed
+    /// outside the lock, against the schema the session has then; if the
+    /// session was redefined before the lock is taken, it is parsed again
+    /// against the new schema.
     pub fn define_query(&self, session: &str, name: &str, text: &str) -> Result<String, String> {
-        let old = self.session(session)?;
-        let q =
-            parse_query(old.schema.schema(), text).map_err(|e| format!("parse error at {e}"))?;
-        let mut queries = old.queries.clone();
-        queries.insert(name.to_owned(), PreparedQuery::new(&old.schema, q));
-        let snapshot = Arc::new(Session {
-            name: old.name.clone(),
-            schema: old.schema.clone(),
-            queries,
-        });
-        self.sessions
-            .write()
-            .unwrap()
-            .insert(session.to_owned(), snapshot);
-        Ok(format!("query {name} defined in session {session}"))
+        loop {
+            let schema = self.session_schema(session)?;
+            let q =
+                parse_query(schema.schema(), text).map_err(|e| format!("parse error at {e}"))?;
+            let mut sessions = self.sessions.write().expect(POISONED);
+            let ses = sessions
+                .get_mut(session)
+                .ok_or_else(|| unknown_session(session))?;
+            if !Arc::ptr_eq(ses.schema.schema_arc(), schema.schema_arc()) {
+                continue;
+            }
+            let prepared = PreparedQuery::new(&ses.schema, q);
+            if let Some(slot) = ses.queries.get_mut(name) {
+                *slot = prepared;
+            } else if ses.queries.len() >= MAX_SESSION_QUERIES {
+                return Err(format!(
+                    "session `{session}` already binds {MAX_SESSION_QUERIES} queries, the most \
+                     one session may hold; redefine a bound name or use another session"
+                ));
+            } else {
+                ses.queries.insert(name.to_owned(), prepared);
+            }
+            return Ok(format!("query {name} defined in session {session}"));
+        }
     }
 
-    /// Add a declared constraint to a session's schema — copy-on-write,
-    /// like [`ServiceEngine::define_query`]. The constraint is validated by
-    /// re-rendering the schema with the new `constraint …;` line appended
-    /// and reparsing the result; because [`Schema`]'s `Display` preserves
-    /// declaration order, every class and attribute identifier is stable
-    /// across the round trip, so the session's bound queries stay valid and
-    /// are re-prepared against the new schema unchanged.
+    /// Add a declared constraint to a session's schema, in place. The
+    /// constraint is validated by re-rendering the schema with the new
+    /// `constraint …;` line appended and reparsing the result; because
+    /// [`Schema`]'s `Display` preserves declaration order, every class and
+    /// attribute identifier is stable across the round trip, so the
+    /// session's bound queries stay valid and are re-prepared against the
+    /// new schema unchanged. Re-preparing costs one handle per bound name;
+    /// requests captured earlier keep the old handles.
     pub fn define_constraint(&self, session: &str, text: &str) -> Result<String, String> {
-        let old = self.session(session)?;
+        let mut sessions = self.sessions.write().expect(POISONED);
+        let ses = sessions
+            .get_mut(session)
+            .ok_or_else(|| unknown_session(session))?;
         let line = text.trim().trim_end_matches(';').trim_end();
         if line.is_empty() {
             return Err("empty constraint text".to_owned());
         }
-        let combined = format!("{}constraint {line};\n", old.schema.schema());
+        let combined = format!("{}constraint {line};\n", ses.schema.schema());
         let schema = parse_schema(&combined).map_err(|e| format!("parse error at {e}"))?;
         let n = schema.constraints().len();
-        let prepared = PreparedSchema::from_arc(Arc::new(schema));
-        let queries = old
-            .queries
-            .iter()
-            .map(|(name, p)| {
-                (
-                    name.clone(),
-                    PreparedQuery::new(&prepared, p.query().clone()),
-                )
-            })
-            .collect();
-        let snapshot = Arc::new(Session {
-            name: old.name.clone(),
-            schema: prepared,
-            queries,
-        });
-        self.sessions
-            .write()
-            .unwrap()
-            .insert(session.to_owned(), snapshot);
+        ses.schema = PreparedSchema::from_arc(Arc::new(schema));
+        for p in ses.queries.values_mut() {
+            *p = PreparedQuery::new(&ses.schema, p.query().clone());
+        }
         Ok(format!("constraint added to session {session} ({n} total)"))
     }
 
-    /// The current snapshot of a session.
-    pub fn session(&self, name: &str) -> Result<Arc<Session>, String> {
+    /// A session's current schema handle.
+    fn session_schema(&self, name: &str) -> Result<PreparedSchema, String> {
         self.sessions
             .read()
-            .unwrap()
+            .expect(POISONED)
             .get(name)
-            .cloned()
-            .ok_or_else(|| {
-                format!("unknown session `{name}` (define it with `schema {name} <text>`)")
-            })
+            .map(|s| s.schema.clone())
+            .ok_or_else(|| unknown_session(name))
     }
 
-    /// Capture the session snapshot a decision request should run against,
-    /// in input order. `run` is self-contained and needs none.
-    pub fn snapshot_for(&self, req: &Request) -> Result<Option<Arc<Session>>, String> {
-        match req {
-            Request::Satisfiable { session, .. }
-            | Request::Contains { session, .. }
-            | Request::Equivalent { session, .. }
-            | Request::Explain { session, .. }
-            | Request::Expand { session, .. }
-            | Request::Minimize { session, .. } => self.session(session).map(Some),
-            Request::Limited { inner, .. } => self.snapshot_for(inner),
-            _ => Ok(None),
-        }
+    /// Capture what a decision request should run against, in input order:
+    /// its session's schema and the handles its query names are bound to
+    /// now. `run` is self-contained and captures nothing. An unknown
+    /// session is an error here; an unknown query name is reported when
+    /// the request runs.
+    pub fn snapshot_for(&self, req: &Request) -> Result<Option<Capture>, String> {
+        let Some((session, names)) = request_names(req) else {
+            return Ok(None);
+        };
+        let sessions = self.sessions.read().expect(POISONED);
+        let ses = sessions
+            .get(session)
+            .ok_or_else(|| unknown_session(session))?;
+        Ok(Some(Capture {
+            schema: ses.schema.clone(),
+            queries: names.map(|n| n.and_then(|n| ses.queries.get(n).cloned())),
+        }))
     }
 
-    /// Execute one decision request against a pre-captured snapshot.
+    /// Execute one decision request against what it captured.
     /// Returns the response payload (or error message) plus stats.
     ///
     /// Each execution gets a fresh [`Budget`] combining the engine-wide
@@ -351,10 +400,10 @@ impl ServiceEngine {
     pub fn execute(
         &self,
         req: &Request,
-        snapshot: Option<&Arc<Session>>,
+        capture: Option<&Capture>,
     ) -> (Result<String, String>, RequestStats) {
         let (req, limit) = split_limit(req);
-        self.execute_budgeted(req, snapshot, self.request_budget(limit))
+        self.execute_budgeted(req, capture, self.request_budget(limit))
     }
 
     /// The [`Budget`] one request runs under: the engine-wide deadline
@@ -371,7 +420,7 @@ impl ServiceEngine {
     pub(crate) fn execute_budgeted(
         &self,
         req: &Request,
-        snapshot: Option<&Arc<Session>>,
+        capture: Option<&Capture>,
         budget: Budget,
     ) -> (Result<String, String>, RequestStats) {
         let start = Instant::now();
@@ -389,7 +438,7 @@ impl ServiceEngine {
             .clone()
             .with_cache(view.clone())
             .with_budget(budget);
-        let result = self.execute_inner(req, snapshot, &cfg);
+        let result = self.execute_inner(req, capture, &cfg);
         let stats = RequestStats {
             cached: view.hits.load(Relaxed),
             decided: view.decided.load(Relaxed),
@@ -410,15 +459,15 @@ impl ServiceEngine {
     pub(crate) fn flight_key(
         &self,
         req: &Request,
-        snapshot: Option<&Arc<Session>>,
+        capture: Option<&Capture>,
         budget: &Budget,
     ) -> Result<Option<FlightKey>, String> {
-        let Some(ses) = snapshot else {
+        let Some(cap) = capture else {
             return Ok(None);
         };
         match req {
-            Request::Contains { q1, q2, .. } | Request::Equivalent { q1, q2, .. } => {
-                let (Ok(p1), Ok(p2)) = (ses.query(q1), ses.query(q2)) else {
+            Request::Contains { .. } | Request::Equivalent { .. } => {
+                let [Some(p1), Some(p2)] = &cap.queries else {
                     return Ok(None);
                 };
                 let c1 = p1
@@ -429,15 +478,15 @@ impl ServiceEngine {
                     .try_shared_canonical_form(budget)
                     .map_err(|e| e.to_string())?
                     .clone();
-                let key = ContainsKey::new(ses.prepared_schema(), c1, c2);
+                let key = ContainsKey::new(cap.prepared_schema(), c1, c2);
                 Ok(Some(if matches!(req, Request::Contains { .. }) {
                     FlightKey::Contains(key)
                 } else {
                     FlightKey::Equivalent(key)
                 }))
             }
-            Request::Minimize { query, .. } => {
-                let Ok(p) = ses.query(query) else {
+            Request::Minimize { .. } => {
+                let Some(p) = &cap.queries[0] else {
                     return Ok(None);
                 };
                 Ok(Some(FlightKey::Minimize(MinimizeKey::of(p))))
@@ -511,18 +560,21 @@ impl ServiceEngine {
     fn execute_inner(
         &self,
         req: &Request,
-        snapshot: Option<&Arc<Session>>,
+        capture: Option<&Capture>,
         cfg: &EngineConfig,
     ) -> Result<String, String> {
         let core = |e: oocq_core::CoreError| e.to_string();
         let wf = |e: oocq_query::WellFormedError| e.to_string();
-        let session = || snapshot.ok_or_else(|| "internal: missing session snapshot".to_owned());
+        let session = || capture.ok_or_else(|| "internal: missing session snapshot".to_owned());
         let eng = Engine::new(cfg.clone());
         match req {
-            Request::Satisfiable { query, .. } => {
+            Request::Satisfiable {
+                session: name,
+                query,
+            } => {
                 let ses = session()?;
                 let s = ses.schema();
-                let q = ses.query(query)?.query();
+                let q = ses.query(0, query, name)?.query();
                 let n = normalize(q, s).map_err(wf)?;
                 let u = expand(s, &n).map_err(core)?;
                 // On a constrained schema a branch can be plain-satisfiable
@@ -568,21 +620,34 @@ impl ServiceEngine {
                 }
                 Ok(out.trim_end().to_owned())
             }
-            Request::Contains { q1, q2, .. } => {
+            Request::Contains {
+                session: name,
+                q1,
+                q2,
+            } => {
                 let ses = session()?;
-                let holds = eng.dispatch(ses.query(q1)?, ses.query(q2)?).map_err(core)?;
+                let (pa, pb) = (ses.query(0, q1, name)?, ses.query(1, q2, name)?);
+                let holds = eng.dispatch(pa, pb).map_err(core)?;
                 Ok(if holds { "holds" } else { "FAILS" }.to_owned())
             }
-            Request::Equivalent { q1, q2, .. } => {
+            Request::Equivalent {
+                session: name,
+                q1,
+                q2,
+            } => {
                 let ses = session()?;
-                let (pa, pb) = (ses.query(q1)?, ses.query(q2)?);
+                let (pa, pb) = (ses.query(0, q1, name)?, ses.query(1, q2, name)?);
                 let holds =
                     eng.dispatch(pa, pb).map_err(core)? && eng.dispatch(pb, pa).map_err(core)?;
                 Ok(if holds { "holds" } else { "FAILS" }.to_owned())
             }
-            Request::Explain { q1, q2, .. } => {
+            Request::Explain {
+                session: name,
+                q1,
+                q2,
+            } => {
                 let ses = session()?;
-                let (pa, pb) = (ses.query(q1)?, ses.query(q2)?);
+                let (pa, pb) = (ses.query(0, q1, name)?, ses.query(1, q2, name)?);
                 let (s, qa, qb) = (ses.schema(), pa.query(), pb.query());
                 if qa.is_terminal(s) && qb.is_terminal(s) {
                     let proof = eng.decide(pa, pb).map_err(core)?;
@@ -596,10 +661,13 @@ impl ServiceEngine {
                     Ok(coverage_lines(&eng, pa, pb, q1).map_err(core)?.join("\n"))
                 }
             }
-            Request::Expand { query, .. } => {
+            Request::Expand {
+                session: name,
+                query,
+            } => {
                 let ses = session()?;
                 let s = ses.schema();
-                let q = ses.query(query)?.query();
+                let q = ses.query(0, query, name)?.query();
                 let u = expand(s, &normalize(q, s).map_err(wf)?).map_err(core)?;
                 let mut out = format!("{} branches", u.len());
                 for sub in &u {
@@ -607,10 +675,13 @@ impl ServiceEngine {
                 }
                 Ok(out)
             }
-            Request::Minimize { query, .. } => {
+            Request::Minimize {
+                session: name,
+                query,
+            } => {
                 let ses = session()?;
                 let s = ses.schema();
-                let m = eng.minimize(ses.query(query)?).map_err(core)?;
+                let m = eng.minimize(ses.query(0, query, name)?).map_err(core)?;
                 if m.is_empty() {
                     return Ok("(unsatisfiable: empty union)".to_owned());
                 }
@@ -717,11 +788,50 @@ mod tests {
         let e = engine();
         e.define_schema("s", "class C {}").unwrap();
         e.define_query("s", "Q", "{ x | x in C }").unwrap();
-        // Old snapshots stay usable by in-flight requests.
-        let old = e.session("s").unwrap();
+        // A request captured before the redefinition still runs against
+        // the handles it resolved.
+        let req = parse_request("contains s Q Q").unwrap();
+        let old = e.snapshot_for(&req).unwrap();
         e.define_schema("s", "class D {}").unwrap();
-        assert!(old.query("Q").is_ok());
-        assert!(e.session("s").unwrap().query("Q").is_err());
+        assert_eq!(e.execute(&req, old.as_ref()).0, Ok("holds".to_owned()));
+        assert_eq!(
+            decide(&e, "contains s Q Q"),
+            Err("unknown query `Q` in session `s`".to_owned())
+        );
+    }
+
+    /// A session fills up to [`MAX_SESSION_QUERIES`] names, each bound
+    /// in place at a cost that does not grow with the session (copying
+    /// the session per binding made 40 000 names take minutes), and then
+    /// refuses new names with a pinned error while rebinding still works.
+    #[test]
+    fn a_session_binds_names_in_place_up_to_its_cap() {
+        let e = engine();
+        e.define_schema("s", "class C {}").unwrap();
+        let mut name = String::new();
+        for i in 0..MAX_SESSION_QUERIES {
+            name.clear();
+            write!(name, "q{i}").unwrap();
+            e.define_query("s", &name, "{ x | x in C }").unwrap();
+        }
+        assert_eq!(
+            decide(&e, &format!("contains s q0 q{}", MAX_SESSION_QUERIES - 1)),
+            Ok("holds".to_owned())
+        );
+        assert_eq!(
+            e.define_query("s", "one_more", "{ x | x in C }"),
+            Err(
+                "session `s` already binds 131072 queries, the most one session may hold; \
+                 redefine a bound name or use another session"
+                    .to_owned()
+            )
+        );
+        assert_eq!(
+            e.define_query("s", "q7", "{ x | exists y: x in C & y in C & x != y }"),
+            Ok("query q7 defined in session s".to_owned())
+        );
+        assert_eq!(decide(&e, "contains s q7 q0"), Ok("holds".to_owned()));
+        assert_eq!(decide(&e, "contains s q0 q7"), Ok("FAILS".to_owned()));
     }
 
     #[test]
@@ -746,7 +856,7 @@ mod tests {
         };
         let msg = e.define_constraint(&session, &text).unwrap();
         assert!(msg.contains("1 total"), "{msg}");
-        // Bound queries survived the copy-on-write schema swap, and the
+        // Bound queries survived the in-place schema swap, and the
         // constraint kills T2: containment flips, and the T2-range query is
         // now reported dead by `satisfiable`.
         assert_eq!(decide(&e, "contains s Q1 Q2"), Ok("holds".to_owned()));

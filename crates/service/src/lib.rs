@@ -39,7 +39,7 @@ pub use cache::{
     CacheStats, CanonicalDecisionCache, PersistStats, DEFAULT_CAPACITY, DEFAULT_DISK_CAPACITY,
     SHARD_COUNT,
 };
-pub use engine::{ServiceEngine, Session, DEFAULT_MAX_CONNS};
+pub use engine::{Capture, ServiceEngine, DEFAULT_MAX_CONNS, MAX_SESSION_QUERIES};
 pub use flight::{FlightKey, FlightStats, JoinOutcome, Singleflight};
 pub use protocol::{escape, parse_request, render_response, unescape, Request, RequestStats};
 pub use runner::{run_program_with, run_workbench_with, RunError};

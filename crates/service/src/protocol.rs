@@ -36,32 +36,43 @@
 /// Escape a payload onto one line: `\` → `\\`, newline → `\n`.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
+    let _ = write_escaped(&mut out, s);
     out
 }
 
+/// [`escape`] into `out`, copying the runs between escaped characters
+/// whole.
+fn write_escaped(out: &mut impl std::fmt::Write, s: &str) -> std::fmt::Result {
+    let mut rest = s;
+    while let Some(i) = rest.find(['\\', '\n']) {
+        out.write_str(&rest[..i])?;
+        out.write_str(if rest.as_bytes()[i] == b'\\' {
+            "\\\\"
+        } else {
+            "\\n"
+        })?;
+        rest = &rest[i + 1..];
+    }
+    out.write_str(rest)
+}
+
 /// Invert [`escape`]. Unknown escapes keep the escaped character; a
-/// trailing lone backslash is kept literally.
+/// trailing lone backslash is kept literally. The runs between
+/// backslashes are copied whole.
 pub fn unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
+    let mut rest = s;
+    while let Some(i) = rest.find('\\') {
+        out.push_str(&rest[..i]);
+        let mut chars = rest[i + 1..].chars();
         match chars.next() {
             Some('n') => out.push('\n'),
             Some(other) => out.push(other),
             None => out.push('\\'),
         }
+        rest = chars.as_str();
     }
+    out.push_str(rest);
     out
 }
 
@@ -151,6 +162,24 @@ fn two_words(rest: &str) -> Option<(&str, &str)> {
     Some((a, b.trim_start()))
 }
 
+/// The `N` arguments of `cmd`: the first `N - 1` whitespace-separated
+/// words of `rest`, then the remainder verbatim (which must not be empty).
+fn args<'a, const N: usize>(cmd: &str, rest: &'a str) -> Result<[&'a str; N], String> {
+    let missing = || format!("`{cmd}` expects {N} arguments");
+    let mut parts = [""; N];
+    let mut rest = rest;
+    for part in &mut parts[..N - 1] {
+        let (word, tail) = two_words(rest).ok_or_else(missing)?;
+        *part = word;
+        rest = tail;
+    }
+    if rest.is_empty() {
+        return Err(missing());
+    }
+    parts[N - 1] = rest;
+    Ok(parts)
+}
+
 /// Parse one request line. Returns a human-readable error for malformed
 /// input (the server reports it as an `err` response, it never kills the
 /// connection).
@@ -179,22 +208,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         .split_once(char::is_whitespace)
         .map(|(c, r)| (c, r.trim_start()))
         .unwrap_or((line, ""));
-    let need = |n: usize| -> Result<Vec<&str>, String> {
-        // First n-1 whitespace-separated words, then the remainder verbatim.
-        let mut parts = Vec::with_capacity(n);
-        let mut rest = rest;
-        for _ in 0..n.saturating_sub(1) {
-            let (word, tail) =
-                two_words(rest).ok_or_else(|| format!("`{cmd}` expects {n} arguments"))?;
-            parts.push(word);
-            rest = tail;
-        }
-        if rest.is_empty() {
-            return Err(format!("`{cmd}` expects {n} arguments"));
-        }
-        parts.push(rest);
-        Ok(parts)
-    };
     match cmd {
         "" => Err("empty request".to_owned()),
         "ping" => Ok(Request::Ping),
@@ -208,37 +221,37 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             )),
         },
         "schema" => {
-            let p = need(2)?;
+            let [session, text] = args(cmd, rest)?;
             Ok(Request::DefineSchema {
-                session: p[0].to_owned(),
-                text: unescape(p[1]),
+                session: session.to_owned(),
+                text: unescape(text),
             })
         }
         "query" => {
-            let p = need(3)?;
+            let [session, name, text] = args(cmd, rest)?;
             Ok(Request::DefineQuery {
-                session: p[0].to_owned(),
-                name: p[1].to_owned(),
-                text: unescape(p[2]),
+                session: session.to_owned(),
+                name: name.to_owned(),
+                text: unescape(text),
             })
         }
         "constraint" => {
-            let p = need(2)?;
+            let [session, text] = args(cmd, rest)?;
             Ok(Request::DefineConstraint {
-                session: p[0].to_owned(),
-                text: unescape(p[1]),
+                session: session.to_owned(),
+                text: unescape(text),
             })
         }
         "satisfiable" => {
-            let p = need(2)?;
+            let [session, query] = args(cmd, rest)?;
             Ok(Request::Satisfiable {
-                session: p[0].to_owned(),
-                query: p[1].to_owned(),
+                session: session.to_owned(),
+                query: query.to_owned(),
             })
         }
         "contains" | "equiv" | "explain" => {
-            let p = need(3)?;
-            let (session, q1, q2) = (p[0].to_owned(), p[1].to_owned(), p[2].to_owned());
+            let [session, q1, q2] = args(cmd, rest)?;
+            let (session, q1, q2) = (session.to_owned(), q1.to_owned(), q2.to_owned());
             Ok(match cmd {
                 "contains" => Request::Contains { session, q1, q2 },
                 "equiv" => Request::Equivalent { session, q1, q2 },
@@ -246,22 +259,25 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             })
         }
         "expand" => {
-            let p = need(2)?;
+            let [session, query] = args(cmd, rest)?;
             Ok(Request::Expand {
-                session: p[0].to_owned(),
-                query: p[1].to_owned(),
+                session: session.to_owned(),
+                query: query.to_owned(),
             })
         }
         "minimize" => {
-            let p = need(2)?;
+            let [session, query] = args(cmd, rest)?;
             Ok(Request::Minimize {
-                session: p[0].to_owned(),
-                query: p[1].to_owned(),
+                session: session.to_owned(),
+                query: query.to_owned(),
             })
         }
-        "run" => Ok(Request::Run {
-            text: unescape(need(1)?[0]),
-        }),
+        "run" => {
+            let [text] = args(cmd, rest)?;
+            Ok(Request::Run {
+                text: unescape(text),
+            })
+        }
         other => Err(format!("unknown command `{other}`")),
     }
 }
@@ -285,20 +301,54 @@ pub fn render_response(
     result: &Result<String, String>,
     stats: Option<&RequestStats>,
 ) -> String {
-    let mut line = match result {
-        Ok(payload) => format!("[{seq}] ok {}", escape(payload)),
-        Err(msg) => format!("[{seq}] err {}", escape(msg)),
+    let payload = match result {
+        Ok(p) | Err(p) => p.len(),
     };
-    if let Some(st) = stats {
-        let _ = std::fmt::Write::write_fmt(
-            &mut line,
-            format_args!(
-                " # cached={} decided={} wall_us={} threads={}",
-                st.cached, st.decided, st.wall_us, st.threads
-            ),
-        );
-    }
+    let mut line = String::with_capacity(payload + 80);
+    let _ = write_response(&mut line, seq, result, stats);
     line
+}
+
+/// [`render_response`] appended to a byte buffer, with no line of its own
+/// in between: how the reactor answers a request whose response is next
+/// in its connection's sequence.
+pub(crate) fn render_into(
+    out: &mut Vec<u8>,
+    seq: u64,
+    result: &Result<String, String>,
+    stats: Option<&RequestStats>,
+) {
+    /// A `fmt::Write` view of a byte buffer.
+    struct Bytes<'a>(&'a mut Vec<u8>);
+    impl std::fmt::Write for Bytes<'_> {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0.extend_from_slice(s.as_bytes());
+            Ok(())
+        }
+    }
+    let _ = write_response(&mut Bytes(out), seq, result, stats);
+}
+
+fn write_response(
+    out: &mut impl std::fmt::Write,
+    seq: u64,
+    result: &Result<String, String>,
+    stats: Option<&RequestStats>,
+) -> std::fmt::Result {
+    let (tag, payload) = match result {
+        Ok(payload) => ("ok", payload),
+        Err(msg) => ("err", msg),
+    };
+    write!(out, "[{seq}] {tag} ")?;
+    write_escaped(out, payload)?;
+    if let Some(st) = stats {
+        write!(
+            out,
+            " # cached={} decided={} wall_us={} threads={}",
+            st.cached, st.decided, st.wall_us, st.threads
+        )?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -320,6 +370,63 @@ mod tests {
         assert_eq!(escape("a\nb"), "a\\nb");
         assert_eq!(unescape("lone\\"), "lone\\");
         assert_eq!(unescape("\\x"), "x");
+    }
+
+    /// The char-at-a-time escaping the run-copying [`escape`] and
+    /// [`unescape`] replaced, as their reference.
+    fn escape_by_char(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                _ => out.push(c),
+            }
+        }
+        out
+    }
+
+    fn unescape_by_char(s: &str) -> String {
+        let mut out = String::new();
+        let mut chars = s.chars();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            match chars.next() {
+                Some('n') => out.push('\n'),
+                Some(other) => out.push(other),
+                None => out.push('\\'),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn run_copying_escapes_match_the_char_at_a_time_ones() {
+        const ALPHABET: [char; 6] = ['\\', 'n', '\n', 'ÿ', 'a', ' '];
+        // Every string of up to five chars over the alphabet.
+        let mut texts = vec![String::new()];
+        for len in 1..=5 {
+            let start = texts.len() - ALPHABET.len().pow(len - 1);
+            let longer: Vec<String> = texts[start..]
+                .iter()
+                .flat_map(|t| ALPHABET.iter().map(move |c| format!("{t}{c}")))
+                .collect();
+            texts.extend(longer);
+        }
+        assert_eq!(texts.len(), (0..=5).map(|l| 6usize.pow(l)).sum::<usize>());
+        for t in &texts {
+            assert_eq!(escape(t), escape_by_char(t), "escape {t:?}");
+            assert_eq!(unescape(t), unescape_by_char(t), "unescape {t:?}");
+            let mut rendered = Vec::new();
+            render_into(&mut rendered, 7, &Err(t.clone()), None);
+            assert_eq!(
+                rendered,
+                format!("[7] err {}", escape_by_char(t)).into_bytes()
+            );
+        }
     }
 
     #[test]

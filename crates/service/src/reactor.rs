@@ -15,9 +15,12 @@
 //! blocking [`crate::serve`] loop (corpus replays pin this): sequence
 //! numbers are assigned in input order as lines are parsed, inline
 //! commands mutate session state at parse time, decision requests capture
-//! their session snapshot at parse time, and a per-connection reorder
-//! buffer emits responses strictly in sequence order no matter how the
-//! shared pool interleaves connections.
+//! the handles their names are bound to at parse time, and a per-connection
+//! reorder buffer emits responses strictly in sequence order no matter how
+//! the shared pool interleaves connections. A response that is next in
+//! its connection's sequence when it is ready (every inline answer while
+//! no decision is outstanding) is rendered straight into the output
+//! buffer; only an early one waits in the reorder buffer as a line.
 //!
 //! ## Backpressure and fault isolation
 //!
@@ -49,10 +52,10 @@
 //! expires is answered `err timeout` by the reactor without cancelling
 //! the leader.
 
-use crate::engine::{split_limit, ServiceEngine, Session};
+use crate::engine::{split_limit, Capture, ServiceEngine};
 use crate::flight::{FlightKey, JoinOutcome, Singleflight};
 use crate::poll::{waker, PollEvent, Poller, WakeReceiver, Waker};
-use crate::protocol::{parse_request, render_response, Request, RequestStats};
+use crate::protocol::{parse_request, render_into, render_response, Request, RequestStats};
 use crate::server::{busy_line, classify_accept_error, AcceptClass, Queue};
 use oocq_core::Budget;
 use std::collections::{HashMap, HashSet};
@@ -61,7 +64,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Token of the listening socket.
@@ -85,12 +88,13 @@ const IDLE_TICK: Duration = Duration::from_millis(200);
 /// Initial accept backoff after a transient accept error.
 const BASE_BACKOFF: Duration = Duration::from_millis(10);
 
-/// One decision request in flight from a connection to the worker pool.
+/// One decision request in flight from a connection to the worker pool:
+/// the parsed request itself (moved, not copied) and what it captured.
 struct ReactorJob {
     conn: u64,
     seq: u64,
     req: Request,
-    snapshot: Option<Arc<Session>>,
+    capture: Option<Capture>,
     stats_on: bool,
 }
 
@@ -117,6 +121,10 @@ enum Note {
     },
 }
 
+/// Why the board's lock can fail: a thread panicked while holding it,
+/// which only a bug in a push or a swap could do.
+const BOARD_POISONED: &str = "a thread panicked while holding the note board";
+
 /// The worker→reactor mailbox: posting wakes the blocked poller.
 struct Board {
     notes: Mutex<Vec<Note>>,
@@ -124,13 +132,25 @@ struct Board {
 }
 
 impl Board {
+    /// Post a note. Only the note that makes the list non-empty writes a
+    /// wake byte: a list that already holds notes has a wake pending,
+    /// and the reactor drains the wake channel before it takes the notes
+    /// in every pass, so the notes behind that wake are taken with it.
     fn post(&self, note: Note) {
-        self.notes.lock().unwrap().push(note);
-        self.waker.wake();
+        let first = {
+            let mut notes = self.notes.lock().expect(BOARD_POISONED);
+            notes.push(note);
+            notes.len() == 1
+        };
+        if first {
+            self.waker.wake();
+        }
     }
 
-    fn drain(&self) -> Vec<Note> {
-        std::mem::take(&mut *self.notes.lock().unwrap())
+    /// Move every posted note into `out` (which must be empty), leaving
+    /// `out`'s buffer behind for the next posts.
+    fn drain_into(&self, out: &mut Vec<Note>) {
+        std::mem::swap(&mut *self.notes.lock().expect(BOARD_POISONED), out);
     }
 }
 
@@ -195,10 +215,31 @@ impl Conn {
         }
     }
 
-    /// Hand a completed response to the reorder buffer; everything ready
-    /// in sequence order moves to the output buffer.
+    /// Hand a completed response line to the reorder buffer; everything
+    /// ready in sequence order moves to the output buffer.
     fn emit(&mut self, seq: u64, line: String) {
         self.pending.insert(seq, line);
+        self.release_ready();
+    }
+
+    /// Answer `seq`: rendered straight into the output buffer when it is
+    /// next in sequence, otherwise parked in the reorder buffer as a line.
+    fn answer(&mut self, seq: u64, result: &Result<String, String>, stats: Option<&RequestStats>) {
+        if seq != self.next_emit {
+            self.emit(seq, render_response(seq, result, stats));
+            return;
+        }
+        if !self.dead {
+            render_into(&mut self.outbuf, seq, result, stats);
+            self.outbuf.push(b'\n');
+        }
+        self.next_emit += 1;
+        self.release_ready();
+    }
+
+    /// Move every parked line that is now next in sequence to the output
+    /// buffer.
+    fn release_ready(&mut self) {
         while let Some(l) = self.pending.remove(&self.next_emit) {
             if !self.dead {
                 self.outbuf.extend_from_slice(l.as_bytes());
@@ -289,6 +330,7 @@ pub fn run(
             board: &board,
             conns: HashMap::new(),
             parked: HashMap::new(),
+            notes: Vec::new(),
             next_token: FIRST_CONN,
             per_conn_cap: engine.queue_bound(),
             listener_paused: false,
@@ -307,12 +349,12 @@ pub fn run(
 fn run_job(
     engine: &ServiceEngine,
     req: &Request,
-    snapshot: Option<&Arc<Session>>,
+    capture: Option<&Capture>,
     budget: Budget,
     start: Instant,
 ) -> (Result<String, String>, RequestStats) {
     match catch_unwind(AssertUnwindSafe(|| {
-        engine.execute_budgeted(req, snapshot, budget)
+        engine.execute_budgeted(req, capture, budget)
     })) {
         Ok(out) => out,
         Err(_) => (
@@ -341,7 +383,7 @@ fn worker_loop(
             conn,
             seq,
             req,
-            snapshot,
+            capture,
             stats_on,
         } = job;
         let (inner, limit) = split_limit(&req);
@@ -350,7 +392,7 @@ fn worker_loop(
         // request-local by definition, and the engine must trip *their*
         // budget, not share a leader's.
         let key = if engine.coalescing() && limit.is_none() {
-            match engine.flight_key(inner, snapshot.as_ref(), &budget) {
+            match engine.flight_key(inner, capture.as_ref(), &budget) {
                 Ok(key) => key,
                 Err(msg) => {
                     // The canonical labeling itself tripped the budget.
@@ -373,7 +415,7 @@ fn worker_loop(
             None
         };
         let Some(key) = key else {
-            let (result, stats) = run_job(engine, inner, snapshot.as_ref(), budget, start);
+            let (result, stats) = run_job(engine, inner, capture.as_ref(), budget, start);
             let st = if stats_on { Some(&stats) } else { None };
             board.post(Note::Done {
                 conn,
@@ -401,7 +443,7 @@ fn worker_loop(
                 }
             }
             JoinOutcome::Lead => {
-                let (result, stats) = run_job(engine, inner, snapshot.as_ref(), budget, start);
+                let (result, stats) = run_job(engine, inner, capture.as_ref(), budget, start);
                 // Collect waiters *before* posting anything: everyone
                 // parked behind this flight is answered from one verdict.
                 for w in flights.complete(&key) {
@@ -441,6 +483,8 @@ struct EventLoop<'a> {
     /// Waiters parked behind a leader whose deadline the reactor must
     /// enforce, keyed `(conn, seq)`.
     parked: HashMap<(u64, u64), (FlightKey, Instant)>,
+    /// The notes being applied; its buffer is swapped with the board's.
+    notes: Vec<Note>,
     next_token: u64,
     /// Max decision requests in flight per connection before its parsing
     /// pauses (reuses the queue bound: one connection can at most fill the
@@ -518,9 +562,10 @@ impl EventLoop<'_> {
 
     /// Apply worker completions; returns whether any note arrived.
     fn apply_notes(&mut self, dirty: &mut HashSet<u64>) -> bool {
-        let notes = self.board.drain();
+        let mut notes = std::mem::take(&mut self.notes);
+        self.board.drain_into(&mut notes);
         let any = !notes.is_empty();
-        for note in notes {
+        for note in notes.drain(..) {
             match note {
                 Note::Done { conn, seq, line } => {
                     self.parked.remove(&(conn, seq));
@@ -545,6 +590,7 @@ impl EventLoop<'_> {
                 }
             }
         }
+        self.notes = notes;
         any
     }
 
@@ -581,7 +627,7 @@ impl EventLoop<'_> {
                 let st = if w.stats_on { Some(&stats) } else { None };
                 let msg =
                     "timeout: request deadline expired awaiting a coalesced result".to_owned();
-                c.emit(seq, render_response(seq, &Err(msg), st));
+                c.answer(seq, &Err(msg), st);
                 dirty.insert(conn);
             }
         }
@@ -739,12 +785,16 @@ impl EventLoop<'_> {
 
     /// Parse and handle every complete buffered line (plus the final
     /// unterminated line at EOF, matching `BufRead::lines`), stopping when
-    /// the connection pauses.
+    /// the connection pauses. A line that is valid UTF-8 is handled in
+    /// place, borrowed from the input buffer.
     fn process_lines(&self, token: u64, conn: &mut Conn) {
+        // Taken out for the duration, so lines can borrow it while the
+        // connection is updated.
+        let inbuf = std::mem::take(&mut conn.inbuf);
         let mut consumed = 0usize;
         loop {
             if conn.quit || conn.dead {
-                consumed = conn.inbuf.len();
+                consumed = inbuf.len();
                 break;
             }
             // Discarding runs even while paused: it consumes bytes without
@@ -753,14 +803,14 @@ impl EventLoop<'_> {
             // cap with read interest masked — the connection could never
             // make progress again.
             if conn.discarding {
-                match conn.inbuf[consumed..].iter().position(|&b| b == b'\n') {
+                match inbuf[consumed..].iter().position(|&b| b == b'\n') {
                     Some(idx) => {
                         consumed += idx + 1;
                         conn.discarding = false;
                         continue;
                     }
                     None => {
-                        consumed = conn.inbuf.len();
+                        consumed = inbuf.len();
                         if conn.read_done {
                             // EOF mid-discard: the unterminated tail
                             // belongs to the already-answered oversized
@@ -769,7 +819,7 @@ impl EventLoop<'_> {
                             if let Some(msg) = conn.read_err.take() {
                                 let seq = conn.next_seq;
                                 conn.next_seq += 1;
-                                conn.emit(seq, render_response(seq, &Err(msg), None));
+                                conn.answer(seq, &Err(msg), None);
                             }
                         }
                         break;
@@ -779,15 +829,15 @@ impl EventLoop<'_> {
             if conn.paused(self.per_conn_cap) {
                 break;
             }
-            match conn.inbuf[consumed..].iter().position(|&b| b == b'\n') {
+            match inbuf[consumed..].iter().position(|&b| b == b'\n') {
                 Some(idx) => {
                     let start = consumed;
                     let mut end = consumed + idx;
                     consumed = end + 1;
-                    if end > start && conn.inbuf[end - 1] == b'\r' {
+                    if end > start && inbuf[end - 1] == b'\r' {
                         end -= 1;
                     }
-                    let line = String::from_utf8_lossy(&conn.inbuf[start..end]).into_owned();
+                    let line = String::from_utf8_lossy(&inbuf[start..end]);
                     self.handle_line(token, conn, &line);
                 }
                 None => {
@@ -795,7 +845,7 @@ impl EventLoop<'_> {
                     // never complete (read interest would mask at the cap
                     // and wedge the connection): answer it now, in sequence
                     // order, and discard its bytes through the newline.
-                    if conn.inbuf.len() - consumed >= IN_CAP {
+                    if inbuf.len() - consumed >= IN_CAP {
                         let seq = conn.next_seq;
                         conn.next_seq += 1;
                         let msg =
@@ -807,53 +857,53 @@ impl EventLoop<'_> {
                             threads: self.workers,
                         };
                         let st = if conn.stats_on { Some(&stats) } else { None };
-                        conn.emit(seq, render_response(seq, &Err(msg), st));
+                        conn.answer(seq, &Err(msg), st);
                         conn.discarding = true;
                         continue;
                     }
                     if conn.read_done {
-                        if conn.read_err.is_none() && consumed < conn.inbuf.len() {
-                            let line =
-                                String::from_utf8_lossy(&conn.inbuf[consumed..]).into_owned();
-                            consumed = conn.inbuf.len();
+                        if conn.read_err.is_none() && consumed < inbuf.len() {
+                            let line = String::from_utf8_lossy(&inbuf[consumed..]);
+                            consumed = inbuf.len();
                             self.handle_line(token, conn, &line);
                             continue;
                         }
-                        consumed = conn.inbuf.len();
+                        consumed = inbuf.len();
                         if let Some(msg) = conn.read_err.take() {
                             let seq = conn.next_seq;
                             conn.next_seq += 1;
-                            conn.emit(seq, render_response(seq, &Err(msg), None));
+                            conn.answer(seq, &Err(msg), None);
                         }
                     }
                     break;
                 }
             }
         }
+        conn.inbuf = inbuf;
         conn.inbuf.drain(..consumed);
     }
 
     /// One request line: inline commands are answered (and session state
     /// mutated) immediately in input order; decision requests capture
-    /// their snapshot now and go to the shared pool.
+    /// their handles now and go to the shared pool.
     fn handle_line(&self, token: u64, conn: &mut Conn, line: &str) {
         if line.trim().is_empty() {
             return;
         }
         let start = Instant::now();
-        let parsed = parse_request(line);
         let seq = conn.next_seq;
         conn.next_seq += 1;
-        let inline: Result<String, String> = match &parsed {
-            Err(e) => Err(e.clone()),
-            Ok(req) if req.is_decision() => match self.engine.snapshot_for(req) {
-                Ok(snapshot) => {
+        let mut quit = false;
+        let inline: Result<String, String> = match parse_request(line) {
+            Err(e) => Err(e),
+            Ok(req) if req.is_decision() => match self.engine.snapshot_for(&req) {
+                Ok(capture) => {
                     conn.inflight += 1;
                     let job = ReactorJob {
                         conn: token,
                         seq,
-                        req: req.clone(),
-                        snapshot,
+                        req,
+                        capture,
                         stats_on: conn.stats_on,
                     };
                     if let Err(job) = self.queue.try_push(job) {
@@ -865,21 +915,26 @@ impl EventLoop<'_> {
             },
             Ok(Request::Ping) => Ok("pong".to_owned()),
             Ok(Request::Stats(on)) => {
-                conn.stats_on = *on;
-                Ok(format!("stats {}", if *on { "on" } else { "off" }))
+                conn.stats_on = on;
+                Ok(format!("stats {}", if on { "on" } else { "off" }))
             }
             Ok(Request::StatsShow) => Ok(self
                 .engine
                 .stats_report(&self.flights.stats(), conn.inflight)),
-            Ok(Request::Quit) => Ok("bye".to_owned()),
-            Ok(Request::DefineSchema { session, text }) => self.engine.define_schema(session, text),
+            Ok(Request::Quit) => {
+                quit = true;
+                Ok("bye".to_owned())
+            }
+            Ok(Request::DefineSchema { session, text }) => {
+                self.engine.define_schema(&session, &text)
+            }
             Ok(Request::DefineQuery {
                 session,
                 name,
                 text,
-            }) => self.engine.define_query(session, name, text),
+            }) => self.engine.define_query(&session, &name, &text),
             Ok(Request::DefineConstraint { session, text }) => {
-                self.engine.define_constraint(session, text)
+                self.engine.define_constraint(&session, &text)
             }
             Ok(other) => Err(format!("internal: unhandled request `{other:?}`")),
         };
@@ -890,8 +945,8 @@ impl EventLoop<'_> {
             threads: self.workers,
         };
         let st = if conn.stats_on { Some(&stats) } else { None };
-        conn.emit(seq, render_response(seq, &inline, st));
-        if matches!(parsed, Ok(Request::Quit)) {
+        conn.answer(seq, &inline, st);
+        if quit {
             conn.quit = true;
             conn.read_done = true;
         }
@@ -932,6 +987,7 @@ mod tests {
     use oocq_core::EngineConfig;
     use std::io::BufReader;
     use std::net::TcpStream;
+    use std::sync::Arc;
 
     struct Harness {
         addr: std::net::SocketAddr,
@@ -988,6 +1044,63 @@ mod tests {
                            schema s class C {}\n\
                            query s Q { x | x in C }\n\
                            query s R { x | exists y: x in C & y in C & x != y }\n";
+
+    /// Two workers post many notes at once while the consumer sleeps only
+    /// on the wake channel and, like the event loop, drains the channel
+    /// before it takes the notes. Only the post that makes the list
+    /// non-empty writes a wake byte, so a lost wake would leave notes on
+    /// the board with the consumer asleep; every note must still arrive,
+    /// in each worker's order.
+    #[test]
+    fn notes_posted_from_two_threads_all_arrive() {
+        const PER_THREAD: u64 = 50_000;
+        let (tx, rx) = waker().unwrap();
+        let board = Board {
+            notes: Mutex::new(Vec::new()),
+            waker: tx,
+        };
+        let mut poller = Poller::new().unwrap();
+        poller.register(rx.raw_fd(), WAKER, true, false).unwrap();
+        std::thread::scope(|scope| {
+            for conn in 0..2u64 {
+                let board = &board;
+                scope.spawn(move || {
+                    for seq in 0..PER_THREAD {
+                        board.post(Note::Done {
+                            conn,
+                            seq,
+                            line: String::new(),
+                        });
+                        if seq % 64 == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+            let mut next = [0u64; 2];
+            let mut notes = Vec::new();
+            let mut events = Vec::new();
+            while next.iter().sum::<u64>() < 2 * PER_THREAD {
+                events.clear();
+                poller
+                    .wait(&mut events, Some(Duration::from_secs(10)))
+                    .unwrap();
+                assert!(
+                    !events.is_empty(),
+                    "asleep with notes outstanding: {next:?} of {PER_THREAD} per thread arrived"
+                );
+                rx.drain();
+                board.drain_into(&mut notes);
+                for note in notes.drain(..) {
+                    let Note::Done { conn, seq, .. } = note else {
+                        panic!("only completions were posted");
+                    };
+                    assert_eq!(seq, next[conn as usize], "worker {conn} out of order");
+                    next[conn as usize] += 1;
+                }
+            }
+        });
+    }
 
     #[test]
     fn a_session_round_trips_with_ordered_seqs() {

@@ -3,7 +3,7 @@
 //! One dispatcher thread (the caller of [`serve`]) reads request lines,
 //! assigns each a sequence number in input order, executes definitional
 //! commands (`schema`, `query`, `stats`, `ping`, `quit`) inline, and hands
-//! decision requests — with the session snapshot they should see already
+//! decision requests — with the handles their names are bound to already
 //! captured — to a pool of `OOCQ_THREADS` workers. Workers push finished
 //! responses into a reorder buffer that writes them out strictly in
 //! sequence order, so the response stream is deterministic no matter how
@@ -20,7 +20,7 @@
 //! * a **mid-stream read error** is answered with a final `err` line before
 //!   the connection closes, instead of a silent teardown.
 
-use crate::engine::{ServiceEngine, Session};
+use crate::engine::{Capture, ServiceEngine};
 use crate::flight::FlightStats;
 use crate::protocol::{parse_request, render_response, Request, RequestStats};
 use std::collections::{HashMap, VecDeque};
@@ -32,19 +32,29 @@ use std::time::Instant;
 struct Job {
     seq: u64,
     req: Request,
-    snapshot: Option<Arc<Session>>,
+    capture: Option<Capture>,
     stats_on: bool,
 }
 
 struct QueueState<T> {
     jobs: VecDeque<T>,
     closed: bool,
+    /// Workers waiting on `cond`.
+    idle: usize,
+    /// Pushers waiting on `room`.
+    blocked: usize,
 }
 
 /// The dispatcher → worker job queue, bounded so a slow pool pushes back on
 /// the dispatcher (and through it, on the client's unread input) instead of
 /// buffering an unbounded backlog. Generic over the job type: [`serve`]
 /// queues per-connection jobs, the reactor queues cross-connection ones.
+///
+/// A condition variable is signalled only when someone waits on it (the
+/// state counts waiters under the lock), because a futex wake is a system
+/// call even when nobody sleeps. Waiters re-check the queue under the
+/// lock before they wait, so a skipped signal can never strand a job or a
+/// pusher.
 pub(crate) struct Queue<T> {
     state: Mutex<QueueState<T>>,
     bound: usize,
@@ -60,6 +70,8 @@ impl<T> Queue<T> {
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 closed: false,
+                idle: 0,
+                blocked: 0,
             }),
             bound: bound.max(1),
             cond: Condvar::new(),
@@ -72,10 +84,14 @@ impl<T> Queue<T> {
     pub(crate) fn push(&self, job: T) {
         let mut st = self.state.lock().unwrap();
         while st.jobs.len() >= self.bound && !st.closed {
+            st.blocked += 1;
             st = self.room.wait(st).unwrap();
+            st.blocked -= 1;
         }
         st.jobs.push_back(job);
-        self.cond.notify_one();
+        if st.idle > 0 {
+            self.cond.notify_one();
+        }
     }
 
     /// Nonblocking push for the reactor (which must never sleep on a lock):
@@ -86,7 +102,9 @@ impl<T> Queue<T> {
             return Err(job);
         }
         st.jobs.push_back(job);
-        self.cond.notify_one();
+        if st.idle > 0 {
+            self.cond.notify_one();
+        }
         Ok(())
     }
 
@@ -101,13 +119,17 @@ impl<T> Queue<T> {
         let mut st = self.state.lock().unwrap();
         loop {
             if let Some(job) = st.jobs.pop_front() {
-                self.room.notify_one();
+                if st.blocked > 0 {
+                    self.room.notify_one();
+                }
                 return Some(job);
             }
             if st.closed {
                 return None;
             }
+            st.idle += 1;
             st = self.cond.wait(st).unwrap();
+            st.idle -= 1;
         }
     }
 }
@@ -213,11 +235,11 @@ pub fn serve<R: BufRead, W: Write + Send>(
                     let Job {
                         seq,
                         req,
-                        snapshot,
+                        capture,
                         stats_on,
                     } = job;
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        engine.execute(&req, snapshot.as_ref())
+                        engine.execute(&req, capture.as_ref())
                     }));
                     let line = match outcome {
                         Ok((result, stats)) => {
@@ -254,19 +276,19 @@ pub fn serve<R: BufRead, W: Write + Send>(
                 continue;
             }
             let start = Instant::now();
-            let parsed = parse_request(&line);
+            let mut quitting = false;
             // Decision requests go to the pool; everything else — including
             // parse errors — is answered inline so session state and the
             // stats toggle stay in input order.
-            let inline: Result<String, String> = match &parsed {
-                Err(e) => Err(e.clone()),
-                Ok(req) if req.is_decision() => match engine.snapshot_for(req) {
-                    Ok(snapshot) => {
+            let inline: Result<String, String> = match parse_request(&line) {
+                Err(e) => Err(e),
+                Ok(req) if req.is_decision() => match engine.snapshot_for(&req) {
+                    Ok(capture) => {
                         inflight.fetch_add(1, SeqCst);
                         queue.push(Job {
                             seq,
-                            req: req.clone(),
-                            snapshot,
+                            req,
+                            capture,
                             stats_on,
                         });
                         seq += 1;
@@ -276,18 +298,23 @@ pub fn serve<R: BufRead, W: Write + Send>(
                 },
                 Ok(Request::Ping) => Ok("pong".to_owned()),
                 Ok(Request::Stats(on)) => {
-                    stats_on = *on;
-                    Ok(format!("stats {}", if *on { "on" } else { "off" }))
+                    stats_on = on;
+                    Ok(format!("stats {}", if on { "on" } else { "off" }))
                 }
-                Ok(Request::Quit) => Ok("bye".to_owned()),
-                Ok(Request::DefineSchema { session, text }) => engine.define_schema(session, text),
+                Ok(Request::Quit) => {
+                    quitting = true;
+                    Ok("bye".to_owned())
+                }
+                Ok(Request::DefineSchema { session, text }) => {
+                    engine.define_schema(&session, &text)
+                }
                 Ok(Request::DefineQuery {
                     session,
                     name,
                     text,
-                }) => engine.define_query(session, name, text),
+                }) => engine.define_query(&session, &name, &text),
                 Ok(Request::DefineConstraint { session, text }) => {
-                    engine.define_constraint(session, text)
+                    engine.define_constraint(&session, &text)
                 }
                 // The blocking path has no singleflight table, so the
                 // coalescing counters are legitimately zero — but the
@@ -306,7 +333,6 @@ pub fn serve<R: BufRead, W: Write + Send>(
             };
             let st = if stats_on { Some(&stats) } else { None };
             emitter.emit(seq, render_response(seq, &inline, st));
-            let quitting = matches!(parsed, Ok(Request::Quit));
             seq += 1;
             if quitting {
                 break;

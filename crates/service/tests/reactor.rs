@@ -186,3 +186,51 @@ fn pipelined_replies_are_not_held_back_by_nagle() {
         );
     }
 }
+
+/// Names resolve when a decision request is read: an unbound name answers
+/// the same error text at the same `[seq]` on the stdin `serve` loop, the
+/// reactor and the thread-per-connection loop, whether it names no query
+/// yet, one bound only later, or one in a session that was redefined in
+/// between.
+#[test]
+fn unknown_names_answer_the_same_text_at_the_same_seq_on_every_path() {
+    let input = "stats off\n\
+                 schema s class C {}\n\
+                 query s Q { x | x in C }\n\
+                 contains s Q Late\n\
+                 satisfiable s Nope\n\
+                 limit=5 explain s Nope Q\n\
+                 contains ghost Q Q\n\
+                 query s Late { x | exists y: x in C & y in C & x != y }\n\
+                 contains s Late Q\n\
+                 schema s class C {}\n\
+                 equiv s Q Q\n\
+                 minimize s Late\n\
+                 ping\n\
+                 quit\n";
+    let expected = "[0] ok stats off\n\
+                    [1] ok session s: 1 classes\n\
+                    [2] ok query Q defined in session s\n\
+                    [3] err unknown query `Late` in session `s`\n\
+                    [4] err unknown query `Nope` in session `s`\n\
+                    [5] err unknown query `Nope` in session `s`\n\
+                    [6] err unknown session `ghost` (define it with `schema ghost <text>`)\n\
+                    [7] ok query Late defined in session s\n\
+                    [8] ok holds\n\
+                    [9] ok session s: 1 classes\n\
+                    [10] err unknown query `Q` in session `s`\n\
+                    [11] err unknown query `Late` in session `s`\n\
+                    [12] ok pong\n\
+                    [13] ok bye\n";
+    let mut stdin = Vec::new();
+    oocq_service::serve(input.as_bytes(), &mut stdin, &engine(2)).unwrap();
+    assert_eq!(String::from_utf8(stdin).unwrap(), expected, "stdin serve");
+    for reactor in [true, false] {
+        let server = Server::start(engine(2), reactor);
+        assert_eq!(
+            exchange(server.addr, input),
+            expected,
+            "reactor = {reactor}"
+        );
+    }
+}

@@ -34,6 +34,12 @@ if [ "${OOCQ_CI_SKIP_HEAVY:-0}" != "1" ]; then
             queue_bound read_error stranded
         cargo test -q $profile --test tooling -- oocq_serve_honors_a_request_deadline
     done
+    # Allocation budget: a counting global allocator drives the in-process
+    # reactor through hot define/define/contains operations and bounds
+    # allocations per operation. Counts can differ between build profiles,
+    # so the profile that ships runs it by name too.
+    echo "ci: allocation budget (release)"
+    cargo test -q --release -p oocq-service --test alloc_budget
     # Parser mutation sweep: tier-1 runs a short seed range; this longer
     # one in the shipped profile hunts panics, error positions outside the
     # input, and Display→parse round trips that do not hold.

@@ -121,7 +121,7 @@ fn first_error(entry: Entry, input: &str) -> String {
 
 /// Malformed inputs and their exact diagnostics, `line:col: message`.
 /// Columns count chars, not bytes; errors inside a program's schema block
-/// or query body are positioned relative to that block's own text.
+/// or query body are positioned in the whole program text.
 #[rustfmt::skip]
 const PINNED: &[(Entry, &str, &str)] = &[
     // Schemas.
@@ -181,8 +181,8 @@ const PINNED: &[(Entry, &str, &str)] = &[
     (Entry::Program, "query Q = { x | x in C }", "1:1: a program must start with `schema { … }`"),
     (Entry::Program, "", "1:1: a program must start with `schema { … }`"),
     (Entry::Program, "schema class C {}", "1:8: expected `{` after `schema`"),
-    (Entry::Program, "schema { class C : Missing {} }", "1:12: unknown class `Missing`"),
-    (Entry::Program, "schema {\n  class C {}\n}\nquery Q = { x | x in D }", "1:12: unknown class `D`"),
+    (Entry::Program, "schema { class C : Missing {} }", "1:20: unknown class `Missing`"),
+    (Entry::Program, "schema {\n  class C {}\n}\nquery Q = { x | x in D }", "4:22: unknown class `D`"),
     (Entry::Program, "schema { class C {} } query Q = { x | x in C", "1:33: unterminated query body"),
     (Entry::Program, "schema { class C {} } query Q { x | x in C }", "1:31: expected `=`, found `{`"),
     (Entry::Program, "schema { class C {} } query Q = x", "1:33: expected `{` starting the query body"),
@@ -190,7 +190,7 @@ const PINNED: &[(Entry, &str, &str)] = &[
     (Entry::Program, "schema { class C {} } ;", "1:23: expected a declaration or command, found `;`"),
     (Entry::Program, "schema { class C {} } query Q = { x | x in C }\nquery Q = { x | x in C }", "2:1: query `Q` defined twice"),
     (Entry::Program, "schema { class C {} }\n// comment\n\nquery Q = { x | x in C }\ncheck Q <= R", "5:12: unknown query `R`"),
-    (Entry::Program, "schema { class Ç {} }\nquery Q = { x | x in Ç & x = ÿ }", "1:20: undeclared variable `ÿ`"),
+    (Entry::Program, "schema { class Ç {} }\nquery Q = { x | x in Ç & x = ÿ }", "2:30: undeclared variable `ÿ`"),
     (Entry::Program, "schema { class C {} } query Q = { x | x in C } $", "1:48: unexpected character `$`"),
 ];
 

@@ -130,17 +130,13 @@ fn line_widths(text: &str) -> Vec<usize> {
 }
 
 /// Positions must land on a line of the input and at most one column past
-/// its last char. A program positions errors in its schema block or query
-/// body relative to that block, so its columns are only bounded by the
-/// widest line.
-fn check_position(kind: &Kind, text: &str, e: &ParseError) -> Result<(), String> {
+/// its last char; a program's errors inside its schema block or query
+/// bodies are positioned in the whole program text, so this holds there
+/// too.
+fn check_position(text: &str, e: &ParseError) -> Result<(), String> {
     let widths = line_widths(text);
     let line_ok = (1..=widths.len()).contains(&e.line);
-    let width = match kind {
-        Kind::Program => widths.iter().copied().max().unwrap_or(0),
-        _ if line_ok => widths[e.line - 1],
-        _ => 0,
-    };
+    let width = if line_ok { widths[e.line - 1] } else { 0 };
     if line_ok && (1..=width + 1).contains(&e.col) {
         Ok(())
     } else {
@@ -186,7 +182,7 @@ fn check(kind: &Kind, text: &str) -> Result<bool, String> {
     };
     match parsed {
         Ok(round_trip) => round_trip.map(|()| true),
-        Err(e) => check_position(kind, text, &e).map(|()| false),
+        Err(e) => check_position(text, &e).map(|()| false),
     }
 }
 
