@@ -143,29 +143,7 @@ impl std::fmt::Debug for EngineConfig {
     }
 }
 
-/// Parse an `OOCQ_THREADS`-style value: a positive integer selects that
-/// many worker threads; anything else (unset, empty, `0`, negative,
-/// non-numeric, trailing junk) means "no explicit request" and the caller
-/// falls back to auto-detection. Surrounding whitespace is tolerated.
-pub(crate) fn parse_threads(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&t| t > 0)
-}
-
 impl EngineConfig {
-    /// Pool size from `OOCQ_THREADS` (a positive integer; `0`, malformed,
-    /// or unset means auto-detect), defaulting to the machine's available
-    /// parallelism. This is the single reading of `OOCQ_THREADS`.
-    pub fn from_env() -> EngineConfig {
-        let requested = parse_threads(std::env::var("OOCQ_THREADS").ok().as_deref());
-        let threads = requested.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        EngineConfig::with_threads(threads)
-    }
-
     /// The default engine with a one-thread pool.
     pub fn serial() -> EngineConfig {
         EngineConfig {
@@ -248,9 +226,8 @@ impl EngineConfig {
     }
 }
 
-/// The serial engine. Reading `OOCQ_THREADS` is
-/// [`EngineConfig::from_env`]'s job alone, so a default-built engine
-/// depends on no environment variable.
+/// The serial engine. Nothing in this crate reads the environment, so a
+/// default-built engine depends on no environment variable.
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig::serial()
@@ -905,15 +882,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_env_defaults_are_sane() {
-        let cfg = EngineConfig::from_env();
-        assert!(cfg.threads >= 1);
+    fn default_config_is_serial_and_ignores_the_environment() {
+        let cfg = EngineConfig::default();
+        assert_eq!(cfg.threads, 1);
         assert!(cfg.cache.is_none());
         assert!(cfg.iso_fast_path);
         assert!(cfg.budget.is_unlimited());
         assert!(cfg.prune, "pruning is always on in production");
         assert_eq!(cfg.search_order, SearchOrder::MostConstrained);
-        assert_eq!(EngineConfig::serial().threads, 1);
         assert!(!EngineConfig::serial().without_pruning().prune);
         assert_eq!(
             EngineConfig::serial()
@@ -923,25 +899,5 @@ mod tests {
         );
         assert_eq!(EngineConfig::with_threads(0).threads, 1);
         assert_eq!(EngineConfig::with_threads(4).threads, 4);
-    }
-
-    #[test]
-    fn default_config_is_serial_and_ignores_the_environment() {
-        assert_eq!(EngineConfig::default().threads, 1);
-    }
-
-    #[test]
-    fn parse_threads_accepts_positive_integers_only() {
-        assert_eq!(parse_threads(Some("4")), Some(4));
-        assert_eq!(parse_threads(Some("1")), Some(1));
-        assert_eq!(parse_threads(Some("  8  ")), Some(8), "whitespace trimmed");
-    }
-
-    #[test]
-    fn parse_threads_rejects_malformed_values() {
-        for bad in ["", "  ", "0", "-3", "abc", "4x", "3.5", "0x10", "+ 2"] {
-            assert_eq!(parse_threads(Some(bad)), None, "input {bad:?}");
-        }
-        assert_eq!(parse_threads(None), None);
     }
 }

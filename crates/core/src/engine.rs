@@ -523,11 +523,6 @@ impl Engine {
         Engine { cfg }
     }
 
-    /// An engine over [`EngineConfig::from_env`].
-    pub fn from_env() -> Engine {
-        Engine::new(EngineConfig::from_env())
-    }
-
     /// The serial reference engine.
     pub fn serial() -> Engine {
         Engine::new(EngineConfig::serial())

@@ -36,9 +36,10 @@
 //! ## The persistent second tier
 //!
 //! With [`CanonicalDecisionCache::with_persistence`] (or `OOCQ_CACHE_DIR`
-//! through [`CanonicalDecisionCache::from_env`]) the cache keeps a
-//! disk-backed second tier behind the LRU: every containment verdict —
-//! negative ones included, they cost exactly as much to recompute — is
+//! through [`ServiceEngine::from_env`](crate::ServiceEngine::from_env))
+//! the cache keeps a disk-backed second tier behind the LRU: every
+//! containment verdict — negative ones included, they cost exactly as
+//! much to recompute — is
 //! appended to the [`crate::persist`] log, and on startup the surviving
 //! records pre-warm both the tier-2 index and the in-memory shards, so a
 //! restarted daemon serves its old hot set warm. A tier-1 miss consults
@@ -64,7 +65,7 @@ use std::collections::hash_map::{Entry as MapEntry, RandomState};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
@@ -97,10 +98,10 @@ const COMPACT_MIN_DEAD: u64 = 8;
 /// schema frame, and verdicts by schema id.
 pub const ENGINE_CACHE_VERSION: u32 = 3;
 
-/// `OOCQ_CACHE_CAPACITY`, read in this one place: `None` when it parses to
-/// zero (`0`, `00`, ` 0 `), which turns the cache off; otherwise its
-/// value, or [`DEFAULT_CAPACITY`] when it is unset or not a number.
-fn parse_capacity(raw: Option<&str>) -> Option<usize> {
+/// Parse `OOCQ_CACHE_CAPACITY`: `None` when it parses to zero (`0`, `00`,
+/// ` 0 `), which turns the cache off; otherwise its value, or
+/// [`DEFAULT_CAPACITY`] when it is unset or not a number.
+pub(crate) fn parse_capacity(raw: Option<&str>) -> Option<usize> {
     match raw.map(|s| s.trim().parse::<usize>()) {
         Some(Ok(0)) => None,
         Some(Ok(n)) => Some(n),
@@ -481,6 +482,8 @@ struct Tier2State {
 /// was configured *and* its single-writer lock was won.
 struct Tier2 {
     state: Mutex<Tier2State>,
+    /// The directory the log and its lock live in.
+    dir: PathBuf,
     /// Bound on distinct on-disk keys; appends beyond it are rejected
     /// (the in-memory tier still serves them for this process's life).
     cap: usize,
@@ -573,6 +576,8 @@ impl Tier2 {
 /// The shared, thread-safe decision cache of `oocq-serve`. See the module
 /// docs for the keying scheme.
 pub struct CanonicalDecisionCache {
+    /// The capacity the cache was built with.
+    capacity: usize,
     contains: Lru<(Arc<CanonicalQuery>, Arc<CanonicalQuery>), bool>,
     minimized: Lru<String, UnionQuery>,
     /// The disk-backed second tier, when configured and lock-winning.
@@ -589,6 +594,7 @@ impl CanonicalDecisionCache {
     /// A cache holding up to `capacity` entries in each of its two tables.
     pub fn new(capacity: usize) -> CanonicalDecisionCache {
         CanonicalDecisionCache {
+            capacity,
             contains: Lru::new(capacity),
             minimized: Lru::new(capacity),
             tier2: None,
@@ -628,6 +634,7 @@ impl CanonicalDecisionCache {
         let (frames, report) = persist::scan_log(&bytes);
         let writer = persist::LogWriter::open(&log_path)?;
         cache.tier2 = Some(Tier2 {
+            dir: dir.to_owned(),
             state: Mutex::new(Tier2State {
                 index: HashMap::default(),
                 schemas: LoggedSchemas::default(),
@@ -723,41 +730,6 @@ impl CanonicalDecisionCache {
         }
     }
 
-    /// The cache the environment configures, or `None` when
-    /// `OOCQ_CACHE_CAPACITY` reads as zero (the off switch). Capacity is
-    /// `OOCQ_CACHE_CAPACITY` (default [`DEFAULT_CAPACITY`]). Persistence
-    /// comes from `OOCQ_CACHE_DIR` (unset: memory-only), gated by
-    /// `OOCQ_CACHE_PERSIST=0` as an off switch, with
-    /// `OOCQ_CACHE_DISK_CAPACITY` bounding the on-disk index (default
-    /// [`DEFAULT_DISK_CAPACITY`]). A directory that cannot be opened
-    /// degrades to memory-only with a note on stderr — a broken cache
-    /// volume must never stop the daemon from answering.
-    pub fn from_env() -> Option<CanonicalDecisionCache> {
-        let cap = parse_capacity(std::env::var("OOCQ_CACHE_CAPACITY").ok().as_deref())?;
-        let persist_on = !matches!(
-            std::env::var("OOCQ_CACHE_PERSIST")
-                .as_deref()
-                .map(str::trim),
-            Ok("0")
-        );
-        let dir = std::env::var("OOCQ_CACHE_DIR")
-            .ok()
-            .map(|s| s.trim().to_owned())
-            .filter(|s| !s.is_empty());
-        if let Some(dir) = dir.filter(|_| persist_on) {
-            let disk_cap = std::env::var("OOCQ_CACHE_DISK_CAPACITY")
-                .ok()
-                .and_then(|s| s.trim().parse::<usize>().ok())
-                .filter(|&c| c > 0)
-                .unwrap_or(DEFAULT_DISK_CAPACITY);
-            match CanonicalDecisionCache::with_persistence(cap, Path::new(&dir), disk_cap) {
-                Ok(cache) => return Some(cache),
-                Err(e) => eprintln!("oocq-serve: cache persistence disabled ({dir}: {e})"),
-            }
-        }
-        Some(CanonicalDecisionCache::new(cap))
-    }
-
     /// Every verdict in the tier-2 index as `(schema, theory, q1 wire,
     /// q2 wire, holds)`.
     #[cfg(test)]
@@ -781,6 +753,16 @@ impl CanonicalDecisionCache {
                 )
             })
             .collect()
+    }
+
+    /// The capacity the cache was built with (entries per table).
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// The disk tier's directory and capacity, when the tier is live.
+    pub fn persist_dir(&self) -> Option<(&Path, usize)> {
+        self.tier2.as_ref().map(|t2| (t2.dir.as_path(), t2.cap))
     }
 
     /// Is the disk-backed tier live (directory configured *and* its

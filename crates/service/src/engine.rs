@@ -13,9 +13,12 @@
 //! a request already read, and the response stream reads as if the
 //! commands ran one after another. Binding a name costs the same however
 //! many names the session holds; a session holds at most
-//! [`MAX_SESSION_QUERIES`] of them.
+//! [`MAX_SESSION_QUERIES`] of them, and an engine at most [`MAX_SESSIONS`]
+//! sessions.
 
-use crate::cache::{CanonicalDecisionCache, ContainsKey, MinimizeKey};
+use crate::cache::{
+    parse_capacity, CanonicalDecisionCache, ContainsKey, MinimizeKey, DEFAULT_DISK_CAPACITY,
+};
 use crate::flight::{FlightKey, FlightStats};
 use crate::protocol::{Request, RequestStats};
 use crate::runner::{coverage_lines, run_program_with};
@@ -28,6 +31,7 @@ use oocq_query::{normalize, UnionQuery};
 use oocq_schema::Schema;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -39,6 +43,12 @@ use std::time::{Duration, Instant};
 /// for an eight-atom query, so a full session holds 180–240 MiB before any
 /// decision memoizes artifacts on its handles.
 pub const MAX_SESSION_QUERIES: usize = 1 << 17;
+
+/// The most sessions one engine may hold. Redefining an existing session
+/// always works; a new session name beyond this is answered with an
+/// error, so one client's `schema s<N> …` lines cannot grow the session
+/// table without bound.
+pub const MAX_SESSIONS: usize = 1 << 10;
 
 /// One named session: a prepared schema plus the prepared queries bound
 /// against it.
@@ -166,15 +176,24 @@ pub struct ServiceEngine {
     /// Explicit job-queue bound (`OOCQ_QUEUE_BOUND`); `None` derives one
     /// from the pool size.
     queue_bound: Option<usize>,
-    /// Concurrent-connection cap for the TCP paths (`OOCQ_MAX_CONNS`).
+    /// Concurrent-connection cap of the TCP server (`OOCQ_MAX_CONNS`).
     max_conns: usize,
     /// Singleflight coalescing of identical in-flight decisions in the
-    /// reactor (`OOCQ_COALESCE`, on by default).
+    /// reactor (on unless turned off in code, as B11's ablation does).
     coalesce: bool,
 }
 
 /// Default [`ServiceEngine::max_conns`] when `OOCQ_MAX_CONNS` is unset.
 pub const DEFAULT_MAX_CONNS: usize = 4096;
+
+/// Parse a number knob (`OOCQ_THREADS`, `OOCQ_DEADLINE_MS`, …): a positive
+/// integer, surrounding whitespace tolerated, counts; anything else
+/// (unset, empty, `0`, negative, non-numeric, trailing junk) means "not
+/// set" and the caller keeps its default.
+fn parse_positive(raw: Option<&str>) -> Option<usize> {
+    raw.and_then(|s| s.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+}
 
 impl ServiceEngine {
     /// An engine with an explicit (or no) cache.
@@ -193,38 +212,75 @@ impl ServiceEngine {
         }
     }
 
-    /// Configuration from the environment: `OOCQ_THREADS` for the pool
-    /// size, `OOCQ_CACHE_CAPACITY` for the cache (any zero, such as `0` or
-    /// `00`, disables it),
-    /// `OOCQ_CACHE_DIR`/`OOCQ_CACHE_PERSIST`/`OOCQ_CACHE_DISK_CAPACITY`
-    /// for the disk-backed tier (see
-    /// [`CanonicalDecisionCache::from_env`]),
-    /// `OOCQ_DEADLINE_MS` for the per-request wall-clock deadline (unset or
-    /// `0` means none), `OOCQ_QUEUE_BOUND` for the dispatcher queue
-    /// bound (unset or `0` derives one from the pool size),
-    /// `OOCQ_MAX_CONNS` for the TCP connection cap (unset or `0` keeps the
-    /// default), and `OOCQ_COALESCE` (`0` disables singleflight
-    /// coalescing in the reactor).
+    /// The daemon's configuration, read from the environment. This is the
+    /// one reader of the daemon's `OOCQ_*` knobs (`OOCQ_LISTEN`, a
+    /// transport address, is `daemon_main`'s). A number knob counts only
+    /// when it is a positive integer; anything else keeps its default.
+    ///
+    /// * `OOCQ_THREADS`: worker-pool size (default: the machine's
+    ///   available parallelism);
+    /// * `OOCQ_CACHE_CAPACITY`: decision-cache entries per table (default
+    ///   [`DEFAULT_CAPACITY`](crate::DEFAULT_CAPACITY); any zero, such as
+    ///   `0` or `00`, turns the cache off);
+    /// * `OOCQ_CACHE_DIR`: when set and non-empty, the directory of the
+    ///   cache's disk tier (a directory that cannot be opened degrades to
+    ///   memory-only with a note on stderr);
+    /// * `OOCQ_CACHE_DISK_CAPACITY`: distinct verdicts the disk tier holds
+    ///   (default [`DEFAULT_DISK_CAPACITY`]);
+    /// * `OOCQ_DEADLINE_MS`: per-request wall-clock deadline (default none);
+    /// * `OOCQ_QUEUE_BOUND`: job-queue bound (default 16 × threads);
+    /// * `OOCQ_MAX_CONNS`: TCP connection cap (default
+    ///   [`DEFAULT_MAX_CONNS`]).
     pub fn from_env() -> ServiceEngine {
-        let cache = CanonicalDecisionCache::from_env().map(Arc::new);
-        let positive = |var: &str| {
-            std::env::var(var)
-                .ok()
-                .and_then(|s| s.trim().parse::<u64>().ok())
-                .filter(|&n| n > 0)
-        };
-        let coalesce = std::env::var("OOCQ_COALESCE")
-            .map(|v| v.trim() != "0")
-            .unwrap_or(true);
-        ServiceEngine::with_cache(EngineConfig::from_env(), cache)
-            .with_deadline(positive("OOCQ_DEADLINE_MS").map(Duration::from_millis))
-            .with_queue_bound(positive("OOCQ_QUEUE_BOUND").map(|n| n as usize))
-            .with_max_conns(
-                positive("OOCQ_MAX_CONNS")
-                    .map(|n| n as usize)
-                    .unwrap_or(DEFAULT_MAX_CONNS),
-            )
-            .with_coalescing(coalesce)
+        ServiceEngine::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// [`ServiceEngine::from_env`] over any variable lookup.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> ServiceEngine {
+        let positive = |name: &str| parse_positive(var(name).as_deref());
+        let threads = positive("OOCQ_THREADS").unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
+        let cache = parse_capacity(var("OOCQ_CACHE_CAPACITY").as_deref()).map(|cap| {
+            let dir = var("OOCQ_CACHE_DIR").unwrap_or_default();
+            let dir = dir.trim();
+            if !dir.is_empty() {
+                let disk_cap =
+                    positive("OOCQ_CACHE_DISK_CAPACITY").unwrap_or(DEFAULT_DISK_CAPACITY);
+                match CanonicalDecisionCache::with_persistence(cap, Path::new(dir), disk_cap) {
+                    Ok(cache) => return Arc::new(cache),
+                    Err(e) => eprintln!("oocq-serve: cache persistence disabled ({dir}: {e})"),
+                }
+            }
+            Arc::new(CanonicalDecisionCache::new(cap))
+        });
+        ServiceEngine::with_cache(EngineConfig::with_threads(threads), cache)
+            .with_deadline(positive("OOCQ_DEADLINE_MS").map(|ms| Duration::from_millis(ms as u64)))
+            .with_queue_bound(positive("OOCQ_QUEUE_BOUND"))
+            .with_max_conns(positive("OOCQ_MAX_CONNS").unwrap_or(DEFAULT_MAX_CONNS))
+    }
+
+    /// The resolved knobs as `name=value` pairs, for the daemon's startup
+    /// line. The cache entries report what is in force: `cache_dir` reads
+    /// `off` when the disk tier is not live, whatever `OOCQ_CACHE_DIR` says.
+    pub fn knobs(&self) -> String {
+        let off = || "off".to_owned();
+        let cache = self.cache.as_deref();
+        let disk = cache.and_then(|c| c.persist_dir());
+        format!(
+            "threads={} cache_capacity={} cache_dir={} disk_capacity={} deadline_ms={} \
+             queue_bound={} max_conns={}",
+            self.pool_threads(),
+            cache.map_or_else(off, |c| c.capacity().to_string()),
+            disk.map_or_else(off, |(dir, _)| dir.display().to_string()),
+            disk.map_or_else(off, |(_, cap)| cap.to_string()),
+            self.deadline
+                .map_or_else(off, |d| d.as_millis().to_string()),
+            self.queue_bound(),
+            self.max_conns,
+        )
     }
 
     /// This engine with a per-request wall-clock deadline (`None` = none).
@@ -252,7 +308,7 @@ impl ServiceEngine {
         self
     }
 
-    /// How many concurrent TCP connections the serving paths accept before
+    /// How many concurrent TCP connections the reactor accepts before
     /// answering `err busy` and closing.
     pub fn max_conns(&self) -> usize {
         self.max_conns
@@ -296,10 +352,14 @@ impl ServiceEngine {
             schema: PreparedSchema::from_arc(Arc::new(schema)),
             queries: HashMap::new(),
         };
-        self.sessions
-            .write()
-            .expect(POISONED)
-            .insert(session.to_owned(), fresh);
+        let mut sessions = self.sessions.write().expect(POISONED);
+        if sessions.len() >= MAX_SESSIONS && !sessions.contains_key(session) {
+            return Err(format!(
+                "cannot define session `{session}`: {MAX_SESSIONS} sessions are already \
+                 defined, the most one daemon may hold; redefine an existing session"
+            ));
+        }
+        sessions.insert(session.to_owned(), fresh);
         Ok(format!("session {session}: {classes} classes"))
     }
 
@@ -832,6 +892,121 @@ mod tests {
         );
         assert_eq!(decide(&e, "contains s q7 q0"), Ok("holds".to_owned()));
         assert_eq!(decide(&e, "contains s q0 q7"), Ok("FAILS".to_owned()));
+    }
+
+    /// An engine holds up to [`MAX_SESSIONS`] sessions, refuses a new
+    /// name past that with a pinned error, and still lets an existing
+    /// session be redefined.
+    #[test]
+    fn the_engine_holds_sessions_up_to_its_cap() {
+        let e = engine();
+        for i in 0..MAX_SESSIONS {
+            e.define_schema(&format!("s{i}"), "class C {}").unwrap();
+        }
+        assert_eq!(
+            e.define_schema("one_more", "class C {}"),
+            Err(
+                "cannot define session `one_more`: 1024 sessions are already defined, the \
+                 most one daemon may hold; redefine an existing session"
+                    .to_owned()
+            )
+        );
+        assert_eq!(
+            e.define_schema("s7", "class D {}\nclass E {}"),
+            Ok("session s7: 2 classes".to_owned())
+        );
+        e.define_query("s7", "Q", "{ x | x in D }").unwrap();
+        assert_eq!(decide(&e, "contains s7 Q Q"), Ok("holds".to_owned()));
+        assert_eq!(
+            decide(&e, "contains one_more Q Q"),
+            Err(unknown_session("one_more"))
+        );
+    }
+
+    /// A lookup over fixed `(name, value)` pairs, standing in for the
+    /// environment.
+    fn vars<'a>(pairs: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |name| {
+            pairs
+                .iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        }
+    }
+
+    /// The knob line of an engine with `threads` workers and defaults
+    /// elsewhere, its cache `cache`.
+    fn default_knobs(threads: usize, cache: &str) -> String {
+        format!(
+            "threads={threads} {cache} deadline_ms=off queue_bound={} max_conns=4096",
+            16 * threads
+        )
+    }
+
+    #[test]
+    fn from_env_defaults_are_sane() {
+        let e = ServiceEngine::from_vars(vars(&[]));
+        assert!(e.pool_threads() >= 1);
+        assert!(e.coalescing());
+        assert!(!e.cache().unwrap().persistence_active());
+        assert_eq!(
+            e.knobs(),
+            default_knobs(
+                e.pool_threads(),
+                "cache_capacity=4096 cache_dir=off disk_capacity=off"
+            )
+        );
+    }
+
+    /// Every knob resolves in `from_env`; persistence follows
+    /// `OOCQ_CACHE_DIR` alone, and malformed numbers keep their defaults.
+    #[test]
+    fn from_env_resolves_every_knob() {
+        let dir = std::env::temp_dir().join(format!("oocq-engine-{}-knobs", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_text = dir.display().to_string();
+        let e = ServiceEngine::from_vars(vars(&[
+            ("OOCQ_THREADS", " 3 "),
+            ("OOCQ_CACHE_CAPACITY", "512"),
+            ("OOCQ_CACHE_DIR", &dir_text),
+            ("OOCQ_CACHE_DISK_CAPACITY", "77"),
+            ("OOCQ_DEADLINE_MS", "250"),
+            ("OOCQ_QUEUE_BOUND", "5"),
+            ("OOCQ_MAX_CONNS", "9"),
+        ]));
+        assert_eq!(
+            e.knobs(),
+            format!(
+                "threads=3 cache_capacity=512 cache_dir={dir_text} disk_capacity=77 \
+                 deadline_ms=250 queue_bound=5 max_conns=9"
+            )
+        );
+        drop(e);
+        let _ = std::fs::remove_dir_all(&dir);
+        let e = ServiceEngine::from_vars(vars(&[
+            ("OOCQ_THREADS", "2x"),
+            ("OOCQ_CACHE_CAPACITY", "00"),
+            ("OOCQ_CACHE_DIR", "  "),
+            ("OOCQ_DEADLINE_MS", "0"),
+            ("OOCQ_MAX_CONNS", "-1"),
+        ]));
+        let off = "cache_capacity=off cache_dir=off disk_capacity=off";
+        assert_eq!(e.knobs(), default_knobs(e.pool_threads(), off));
+    }
+
+    #[test]
+    fn parse_positive_accepts_positive_integers_only() {
+        assert_eq!(parse_positive(Some("4")), Some(4));
+        assert_eq!(parse_positive(Some("1")), Some(1));
+        assert_eq!(parse_positive(Some("  8  ")), Some(8), "whitespace trimmed");
+    }
+
+    #[test]
+    fn parse_positive_rejects_malformed_values() {
+        for bad in ["", "  ", "0", "-3", "abc", "4x", "3.5", "0x10", "+ 2"] {
+            assert_eq!(parse_positive(Some(bad)), None, "input {bad:?}");
+        }
+        assert_eq!(parse_positive(None), None);
     }
 
     #[test]

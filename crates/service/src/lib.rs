@@ -11,10 +11,16 @@
 //! [`oocq_core::DecisionCache`] hook the cache plugs into) and below the
 //! root `oocq` crate (whose workbench delegates to [`run_program_with`]).
 //!
+//! Serving: [`serve`] answers one request stream (the daemon's stdin
+//! mode, and the reference every transport test diffs against);
+//! [`reactor::run`] is the one TCP server, an epoll event loop that exists
+//! on Linux only. [`daemon_main`] picks between them by `OOCQ_LISTEN`, and
+//! [`ServiceEngine::from_env`] reads every other daemon knob.
+//!
 //! Determinism contract: for a fixed request stream, the response stream
-//! is byte-identical across worker-pool sizes and cache states (stats
-//! suffixes excluded — they carry wall times). The corpus replay tests in
-//! `tests/` pin this.
+//! is byte-identical across transports, worker-pool sizes and cache states
+//! (stats suffixes excluded — they carry wall times). The corpus replay
+//! tests in `tests/` pin this.
 
 // `deny` rather than `forbid`: the reactor's readiness polling ([`poll`])
 // carries the crate's single `#[allow(unsafe_code)]` island — FFI
@@ -31,6 +37,7 @@ mod persist;
 mod persist_fuzz;
 pub mod poll;
 mod protocol;
+#[cfg(target_os = "linux")]
 pub mod reactor;
 mod runner;
 mod server;
@@ -39,11 +46,11 @@ pub use cache::{
     CacheStats, CanonicalDecisionCache, PersistStats, DEFAULT_CAPACITY, DEFAULT_DISK_CAPACITY,
     SHARD_COUNT,
 };
-pub use engine::{Capture, ServiceEngine, DEFAULT_MAX_CONNS, MAX_SESSION_QUERIES};
+pub use engine::{Capture, ServiceEngine, DEFAULT_MAX_CONNS, MAX_SESSIONS, MAX_SESSION_QUERIES};
 pub use flight::{FlightKey, FlightStats, JoinOutcome, Singleflight};
 pub use protocol::{escape, parse_request, render_response, unescape, Request, RequestStats};
 pub use runner::{run_program_with, run_workbench_with, RunError};
-pub use server::{accept_loop, daemon_main, serve};
+pub use server::{daemon_main, serve};
 
 /// The deadline fixture the engine and server tests share: under
 /// [`SCHEMA`](explosion::SCHEMA), `Big ⊆ R` holds only after walking 2^19

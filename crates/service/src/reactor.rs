@@ -1,13 +1,11 @@
 //! The event-driven TCP serving reactor.
 //!
-//! The thread-per-connection loop ([`crate::server::accept_loop`], kept
-//! behind `OOCQ_REACTOR=0` as a differential reference) spends one OS
-//! thread — and one whole worker pool — per peer, so ten thousand mostly
-//! idle connections cost ten thousand blocked threads. [`run`] replaces it
-//! with a single event loop: every socket is nonblocking and registered
-//! with a level-triggered [`crate::poll::Poller`]; each connection is a
-//! small line-buffer state machine; and *all* connections share one
-//! `OOCQ_THREADS` worker pool behind one bounded job queue.
+//! [`run`] is the daemon's only TCP server (Linux only: it sleeps on
+//! epoll). It is a single event loop: every socket is nonblocking and
+//! registered with a level-triggered [`crate::poll::Poller`]; each
+//! connection is a small line-buffer state machine; and *all* connections
+//! share one `OOCQ_THREADS` worker pool behind one bounded job queue, so
+//! ten thousand mostly idle connections cost no thread each.
 //!
 //! ## Determinism
 //!
@@ -56,15 +54,15 @@ use crate::engine::{split_limit, Capture, ServiceEngine};
 use crate::flight::{FlightKey, JoinOutcome, Singleflight};
 use crate::poll::{waker, PollEvent, Poller, WakeReceiver, Waker};
 use crate::protocol::{parse_request, render_into, render_response, Request, RequestStats};
-use crate::server::{busy_line, classify_accept_error, AcceptClass, Queue};
+use crate::server::Queue;
 use oocq_core::Budget;
 use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Token of the listening socket.
@@ -87,6 +85,26 @@ const OUT_CAP: usize = 1 << 20;
 const IDLE_TICK: Duration = Duration::from_millis(200);
 /// Initial accept backoff after a transient accept error.
 const BASE_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Is an `accept` error transient? Resource exhaustion
+/// (`EMFILE`/`ENFILE`/`ENOMEM`/`ENOBUFS`), interruption, and peers that
+/// reset or aborted during the handshake (`ECONNABORTED`/`ECONNRESET`)
+/// are: log, back off, keep serving the connections already accepted.
+/// Everything else — notably `EBADF`/`EINVAL`/`ENOTSOCK` — means the
+/// listening socket itself is gone, so retrying can never succeed and the
+/// reactor surfaces the error.
+fn accept_error_is_transient(e: &std::io::Error) -> bool {
+    match e.kind() {
+        ErrorKind::Interrupted
+        | ErrorKind::WouldBlock
+        | ErrorKind::ConnectionAborted
+        | ErrorKind::ConnectionReset
+        | ErrorKind::OutOfMemory => true,
+        // ENOMEM, ENFILE, EMFILE, ENOBUFS: the fd/memory pressure cases
+        // ErrorKind does not (or did not historically) map.
+        _ => matches!(e.raw_os_error(), Some(12 | 23 | 24 | 105)),
+    }
+}
 
 /// One decision request in flight from a connection to the worker pool:
 /// the parsed request itself (moved, not copied) and what it captured.
@@ -344,6 +362,45 @@ pub fn run(
     result
 }
 
+/// A reactor serving an engine on an ephemeral loopback port from its own
+/// thread, for tests and benches. Dropping it stops the reactor and joins
+/// its thread, panicking if the reactor failed.
+pub struct Loopback {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    handle: Option<std::thread::JoinHandle<std::io::Result<()>>>,
+}
+
+impl Loopback {
+    /// Bind `127.0.0.1:0` and start serving `engine` there.
+    pub fn start(engine: ServiceEngine) -> std::io::Result<Loopback> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let handle = std::thread::spawn(move || run(&listener, &engine, &flag));
+        Ok(Loopback {
+            addr,
+            stop,
+            handle: Some(handle),
+        })
+    }
+
+    /// The address clients connect to.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+}
+
+impl Drop for Loopback {
+    fn drop(&mut self) {
+        self.stop.store(true, SeqCst);
+        if let Some(h) = self.handle.take() {
+            h.join().unwrap().expect("reactor failed");
+        }
+    }
+}
+
 /// Execute one request under `catch_unwind` so a panic becomes that
 /// request's own error response (PR 5 contract) instead of a dead worker.
 fn run_job(
@@ -509,13 +566,7 @@ impl EventLoop<'_> {
                 match ev.token {
                     LISTENER => accept_now = true,
                     WAKER => {
-                        // A drained wake byte is real activity — the only
-                        // kind the sleep-poll fallback can't fabricate —
-                        // so it resets that backend's idle backoff (a
-                        // no-op on epoll).
-                        if self.wake_rx.drain() > 0 {
-                            self.poller.note_progress();
-                        }
+                        self.wake_rx.drain();
                     }
                     token => {
                         dirty.insert(token);
@@ -525,7 +576,6 @@ impl EventLoop<'_> {
             // Drain completions every pass (not only on a waker event: the
             // wake byte may have coalesced into a previous drain).
             if self.apply_notes(&mut dirty) {
-                self.poller.note_progress();
                 // Queue slots freed: every stalled connection may proceed.
                 dirty.extend(
                     self.conns
@@ -663,8 +713,12 @@ impl EventLoop<'_> {
                         // The accepted socket is still blocking (accept
                         // does not inherit O_NONBLOCK); a short write to a
                         // fresh socket buffer cannot stall the loop.
+                        let max = self.engine.max_conns();
+                        let busy = Err(format!(
+                            "busy: connection limit ({max}) reached; try again later"
+                        ));
                         let mut stream = stream;
-                        let _ = stream.write_all(busy_line(self.engine.max_conns()).as_bytes());
+                        let _ = stream.write_all(render_response(0, &busy, None).as_bytes());
                         let _ = stream.write_all(b"\n");
                         continue;
                     }
@@ -688,23 +742,21 @@ impl EventLoop<'_> {
                     dirty.insert(token);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) => match classify_accept_error(&e) {
-                    AcceptClass::Transient => {
-                        eprintln!(
-                            "oocq-serve: accept failed: {e}; pausing accepts for {:?}",
-                            self.accept_backoff
-                        );
-                        let _ = self.poller.deregister(self.listener.as_raw_fd());
-                        self.listener_paused = true;
-                        self.listener_resume = Some(Instant::now() + self.accept_backoff);
-                        self.accept_backoff = (self.accept_backoff * 2).min(Duration::from_secs(1));
-                        break;
-                    }
-                    AcceptClass::Fatal => {
-                        eprintln!("oocq-serve: accept failed fatally: {e}");
-                        return Err(e);
-                    }
-                },
+                Err(e) if accept_error_is_transient(&e) => {
+                    eprintln!(
+                        "oocq-serve: accept failed: {e}; pausing accepts for {:?}",
+                        self.accept_backoff
+                    );
+                    let _ = self.poller.deregister(self.listener.as_raw_fd());
+                    self.listener_paused = true;
+                    self.listener_resume = Some(Instant::now() + self.accept_backoff);
+                    self.accept_backoff = (self.accept_backoff * 2).min(Duration::from_secs(1));
+                    break;
+                }
+                Err(e) => {
+                    eprintln!("oocq-serve: accept failed fatally: {e}");
+                    return Err(e);
+                }
             }
         }
         Ok(())
@@ -986,51 +1038,19 @@ mod tests {
     use crate::cache::CanonicalDecisionCache;
     use oocq_core::EngineConfig;
     use std::io::BufReader;
-    use std::net::TcpStream;
-    use std::sync::Arc;
 
-    struct Harness {
-        addr: std::net::SocketAddr,
-        stop: Arc<AtomicBool>,
-        handle: Option<std::thread::JoinHandle<std::io::Result<()>>>,
+    fn connect(h: &Loopback) -> TcpStream {
+        TcpStream::connect(h.addr()).unwrap()
     }
 
-    impl Harness {
-        fn start(engine: ServiceEngine) -> Harness {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let stop = Arc::new(AtomicBool::new(false));
-            let stop2 = stop.clone();
-            let handle = std::thread::spawn(move || run(&listener, &engine, &stop2));
-            Harness {
-                addr,
-                stop,
-                handle: Some(handle),
-            }
-        }
-
-        fn connect(&self) -> TcpStream {
-            TcpStream::connect(self.addr).unwrap()
-        }
-
-        /// Send a whole program, read lines until the connection closes.
-        fn roundtrip(&self, input: &str) -> String {
-            let mut s = self.connect();
-            s.write_all(input.as_bytes()).unwrap();
-            s.shutdown(std::net::Shutdown::Write).unwrap();
-            let mut out = String::new();
-            BufReader::new(s).read_to_string(&mut out).unwrap();
-            out
-        }
-    }
-
-    impl Drop for Harness {
-        fn drop(&mut self) {
-            self.stop.store(true, SeqCst);
-            if let Some(h) = self.handle.take() {
-                h.join().unwrap().unwrap();
-            }
-        }
+    /// Send a whole program, read lines until the connection closes.
+    fn roundtrip(h: &Loopback, input: &str) -> String {
+        let mut s = connect(h);
+        s.write_all(input.as_bytes()).unwrap();
+        s.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut out = String::new();
+        BufReader::new(s).read_to_string(&mut out).unwrap();
+        out
     }
 
     fn engine(threads: usize) -> ServiceEngine {
@@ -1104,13 +1124,13 @@ mod tests {
 
     #[test]
     fn a_session_round_trips_with_ordered_seqs() {
-        let h = Harness::start(engine(4));
+        let h = Loopback::start(engine(4)).unwrap();
         let mut input = SESSION.to_owned();
         for _ in 0..8 {
             input.push_str("contains s R Q\ncontains s Q R\nminimize s R\n");
         }
         input.push_str("quit\n");
-        let out = h.roundtrip(&input);
+        let out = roundtrip(&h, &input);
         let seqs: Vec<u64> = out
             .lines()
             .map(|l| l[1..l.find(']').unwrap()].parse().unwrap())
@@ -1126,11 +1146,13 @@ mod tests {
 
     #[test]
     fn eof_without_quit_and_unterminated_final_line_drain_cleanly() {
-        let h = Harness::start(engine(2));
+        let h = Loopback::start(engine(2)).unwrap();
         // No trailing newline on the last request: `BufRead::lines`
         // semantics say it still counts.
-        let out =
-            h.roundtrip("stats off\nschema s class C {}\nquery s Q { x | x in C }\ncontains s Q Q");
+        let out = roundtrip(
+            &h,
+            "stats off\nschema s class C {}\nquery s Q { x | x in C }\ncontains s Q Q",
+        );
         assert!(out.ends_with("[3] ok holds\n"), "{out}");
     }
 
@@ -1143,8 +1165,8 @@ mod tests {
     /// fully usable.
     #[test]
     fn an_oversized_line_is_rejected_without_wedging_the_connection() {
-        let h = Harness::start(engine(2));
-        let mut s = h.connect();
+        let h = Loopback::start(engine(2)).unwrap();
+        let mut s = connect(&h);
         s.write_all(b"stats off\n").unwrap();
         // 1.5 MiB of garbage, then the newline that ends it, then more
         // requests that must still be served.
@@ -1163,8 +1185,8 @@ mod tests {
     /// answer the error, drain the stream to EOF, and close — not hang.
     #[test]
     fn an_oversized_unterminated_line_drains_to_eof_and_closes() {
-        let h = Harness::start(engine(2));
-        let mut s = h.connect();
+        let h = Loopback::start(engine(2)).unwrap();
+        let mut s = connect(&h);
         s.write_all(b"stats off\n").unwrap();
         s.write_all(&vec![b'y'; 2 * IN_CAP]).unwrap();
         s.shutdown(std::net::Shutdown::Write).unwrap();
@@ -1180,8 +1202,9 @@ mod tests {
 
     #[test]
     fn a_panicking_request_is_isolated_to_its_own_response() {
-        let h = Harness::start(engine(2));
-        let out = h.roundtrip(
+        let h = Loopback::start(engine(2)).unwrap();
+        let out = roundtrip(
+            &h,
             "stats off\nschema s class C {}\nquery s Q { x | x in C }\n\
              contains s __panic__ Q\ncontains s Q Q\nping\nquit\n",
         );
@@ -1196,14 +1219,14 @@ mod tests {
 
     #[test]
     fn connections_beyond_the_cap_get_err_busy() {
-        let h = Harness::start(engine(1).with_max_conns(1));
+        let h = Loopback::start(engine(1).with_max_conns(1)).unwrap();
         // Hold one connection open (mid-session, nothing sent).
-        let held = h.connect();
+        let held = connect(&h);
         // Give the reactor a moment to register it.
         std::thread::sleep(Duration::from_millis(100));
         // The over-cap connection is answered without us sending a byte.
         let mut out = String::new();
-        BufReader::new(h.connect())
+        BufReader::new(connect(&h))
             .read_to_string(&mut out)
             .unwrap();
         assert!(
@@ -1213,14 +1236,15 @@ mod tests {
         drop(held);
         // Capacity freed: the next connection is served normally.
         std::thread::sleep(Duration::from_millis(300));
-        let out = h.roundtrip("stats off\nping\nquit\n");
+        let out = roundtrip(&h, "stats off\nping\nquit\n");
         assert!(out.contains("[1] ok pong"), "{out}");
     }
 
     #[test]
     fn stats_show_reports_cache_and_coalescing_counters() {
-        let h = Harness::start(engine(2));
-        let out = h.roundtrip(
+        let h = Loopback::start(engine(2)).unwrap();
+        let out = roundtrip(
+            &h,
             "stats off\nschema s class C {}\nquery s Q { x | x in C }\n\
              contains s Q Q\ncontains s Q Q\nstats show\nquit\n",
         );
@@ -1237,8 +1261,9 @@ mod tests {
 
     #[test]
     fn stats_suffix_toggles_like_the_blocking_path() {
-        let h = Harness::start(engine(1));
-        let out = h.roundtrip(
+        let h = Loopback::start(engine(1)).unwrap();
+        let out = roundtrip(
+            &h,
             "schema s class C {}\nquery s Q { x | x in C }\ncontains s Q Q\n\
              stats off\ncontains s Q Q\nquit\n",
         );
@@ -1260,10 +1285,11 @@ mod tests {
     /// can assert *exactly one* leader instead of racing the scheduler.
     #[test]
     fn concurrent_identical_requests_coalesce_into_one_computation() {
-        let h = Harness::start(ServiceEngine::with_cache(
+        let h = Loopback::start(ServiceEngine::with_cache(
             EngineConfig::with_threads(8),
             None,
-        ));
+        ))
+        .unwrap();
         let vars: Vec<String> = (1..=12).map(|i| format!("x{i}")).collect();
         let chain: String = vars
             .windows(2)
@@ -1283,13 +1309,11 @@ mod tests {
              query s __slow__ {{ x | x in T1 }}\nquit\n",
             crate::protocol::escape(&big),
         );
-        assert!(h
-            .roundtrip(&setup)
-            .contains("[4] ok query __slow__ defined"));
+        assert!(roundtrip(&h, &setup).contains("[4] ok query __slow__ defined"));
 
         const K: usize = 6;
-        let mut conns: Vec<TcpStream> = (0..K).map(|_| h.connect()).collect();
-        let mut limited = h.connect();
+        let mut conns: Vec<TcpStream> = (0..K).map(|_| connect(&h)).collect();
+        let mut limited = connect(&h);
         // Fire the identical slow check from K connections at once…
         for c in &mut conns {
             c.write_all(b"stats off\ncontains s __slow__ __slow__\nquit\n")
@@ -1322,7 +1346,7 @@ mod tests {
         // The coalescing counters must show one leader absorbing the other
         // K-1 as waiters. (The limit= request bypasses the table, and the
         // cache is off, so nothing else can explain a single computation.)
-        let show = h.roundtrip("stats off\nstats show\nquit\n");
+        let show = roundtrip(&h, "stats off\nstats show\nquit\n");
         let line = show
             .lines()
             .find(|l| l.contains("coalesce:"))

@@ -4,8 +4,7 @@
 //! serial workbench runner (the `tests/corpus` golden files are the
 //! contract), while routing every engine decision through one [`Engine`]
 //! over the configured decision cache and budget. The root crate's
-//! `oocq::run_program` delegates here with
-//! [`EngineConfig::from_env`].
+//! `oocq::run_program` delegates here with [`EngineConfig::serial`].
 
 use oocq_core::{
     expand, satisfiability, CoreError, Engine, EngineConfig, PreparedQuery, PreparedSchema,

@@ -25,7 +25,7 @@ use crate::flight::FlightStats;
 use crate::protocol::{parse_request, render_response, Request, RequestStats};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -96,6 +96,7 @@ impl<T> Queue<T> {
 
     /// Nonblocking push for the reactor (which must never sleep on a lock):
     /// a full queue hands the job back so the caller can park it.
+    #[cfg(target_os = "linux")]
     pub(crate) fn try_push(&self, job: T) -> Result<(), T> {
         let mut st = self.state.lock().unwrap();
         if st.jobs.len() >= self.bound && !st.closed {
@@ -343,157 +344,37 @@ pub fn serve<R: BufRead, W: Write + Send>(
     emitter.finish()
 }
 
-/// How an `accept` failure should be handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AcceptClass {
-    /// Resource pressure or a peer that vanished mid-handshake: log, back
-    /// off, keep serving the connections we already have.
-    Transient,
-    /// The listener itself is broken (bad fd, unsupported operation):
-    /// retrying can never succeed, so the accept loop must stop.
-    Fatal,
-}
-
-/// Classify an `accept` error. Transient kinds are resource exhaustion
-/// (`EMFILE`/`ENFILE`/`ENOMEM`/`ENOBUFS`), interruption, and peers that
-/// reset or aborted during the handshake (`ECONNABORTED`/`ECONNRESET`);
-/// everything else — notably `EBADF`/`EINVAL`/`ENOTSOCK` — means the
-/// listening socket itself is gone and the loop should surface the error.
-pub(crate) fn classify_accept_error(e: &std::io::Error) -> AcceptClass {
-    use std::io::ErrorKind;
-    match e.kind() {
-        ErrorKind::Interrupted
-        | ErrorKind::WouldBlock
-        | ErrorKind::ConnectionAborted
-        | ErrorKind::ConnectionReset
-        | ErrorKind::OutOfMemory => AcceptClass::Transient,
-        _ => match e.raw_os_error() {
-            // ENOMEM, ENFILE, EMFILE, ENOBUFS: the fd/memory pressure
-            // cases ErrorKind does not (or did not historically) map.
-            Some(12 | 23 | 24 | 105) => AcceptClass::Transient,
-            _ => AcceptClass::Fatal,
-        },
-    }
-}
-
-/// The response line sent (best-effort) to a connection rejected by the
-/// `OOCQ_MAX_CONNS` cap before it is closed.
-pub(crate) fn busy_line(max_conns: usize) -> String {
-    render_response(
-        0,
-        &Err(format!(
-            "busy: connection limit ({max_conns}) reached; try again later"
-        )),
-        None,
-    )
-}
-
-/// The thread-per-connection TCP accept loop (`OOCQ_REACTOR=0`), kept as a
-/// differential reference for the reactor: one [`serve`] loop (and so one
-/// worker pool) per connection, a concurrent-connection cap answered with
-/// `err busy`, and accept-error classification with exponential backoff
-/// that resets after a successful accept. Returns when `stop` is set (and
-/// every connection thread has finished) or on a fatal accept error.
-pub fn accept_loop(
-    listener: &std::net::TcpListener,
-    engine: &ServiceEngine,
-    stop: &AtomicBool,
-) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let live = AtomicUsize::new(0);
-    let max_conns = engine.max_conns();
-    let base_backoff = std::time::Duration::from_millis(10);
-    let mut backoff = base_backoff;
-    let mut result = Ok(());
-    std::thread::scope(|scope| {
-        while !stop.load(SeqCst) {
-            let (stream, peer) = match listener.accept() {
-                Ok(conn) => {
-                    backoff = base_backoff;
-                    conn
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                    continue;
-                }
-                Err(e) => match classify_accept_error(&e) {
-                    AcceptClass::Transient => {
-                        eprintln!("oocq-serve: accept failed: {e}; retrying in {backoff:?}");
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(std::time::Duration::from_secs(1));
-                        continue;
-                    }
-                    AcceptClass::Fatal => {
-                        eprintln!("oocq-serve: accept failed fatally: {e}");
-                        result = Err(e);
-                        break;
-                    }
-                },
-            };
-            if live.load(SeqCst) >= max_conns {
-                let mut stream = stream;
-                let _ = stream.write_all(busy_line(max_conns).as_bytes());
-                let _ = stream.write_all(b"\n");
-                continue;
-            }
-            // Same reason as the reactor: no Nagle delay on small replies.
-            let _ = stream.set_nodelay(true);
-            live.fetch_add(1, SeqCst);
-            let live = &live;
-            scope.spawn(move || {
-                let reader = std::io::BufReader::new(match stream.try_clone() {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("oocq-serve: {peer}: {e}");
-                        live.fetch_sub(1, SeqCst);
-                        return;
-                    }
-                });
-                if let Err(e) = serve(reader, stream, engine) {
-                    eprintln!("oocq-serve: {peer}: {e}");
-                }
-                live.fetch_sub(1, SeqCst);
-            });
-        }
-    });
-    result
-}
-
 /// Entry point of the `oocq-serve` binary: serve stdin/stdout, or — when
-/// `OOCQ_LISTEN=<addr:port>` is set — accept TCP connections over a shared
-/// engine (and shared cache). On Linux, TCP connections are multiplexed by
-/// the event-driven reactor by default (`OOCQ_REACTOR=0` selects the
-/// legacy thread-per-connection loop); elsewhere the poller has only a
-/// spin-polling fallback backend, so thread-per-connection is the default
-/// and `OOCQ_REACTOR=1` opts into the reactor explicitly.
+/// `OOCQ_LISTEN=<addr:port>` is set — accept TCP connections through the
+/// event-driven reactor over one shared engine (and shared cache). TCP
+/// serving needs Linux epoll; elsewhere `OOCQ_LISTEN` is refused with an
+/// `Unsupported` error and stdin mode still works.
 pub fn daemon_main() -> std::io::Result<()> {
     let engine = Arc::new(ServiceEngine::from_env());
     match std::env::var("OOCQ_LISTEN") {
-        Ok(addr) if !addr.trim().is_empty() => {
-            let listener = std::net::TcpListener::bind(addr.trim())?;
-            let reactor = std::env::var("OOCQ_REACTOR")
-                .map(|v| v.trim() != "0")
-                .unwrap_or(cfg!(target_os = "linux"));
-            eprintln!(
-                "oocq-serve listening on {} ({}, {} worker threads, max {} connections)",
-                listener.local_addr()?,
-                if reactor {
-                    "reactor"
-                } else {
-                    "thread-per-connection"
-                },
-                engine.pool_threads().max(1),
-                engine.max_conns(),
-            );
-            let stop = AtomicBool::new(false);
-            if reactor {
-                crate::reactor::run(&listener, &engine, &stop)
-            } else {
-                accept_loop(&listener, &engine, &stop)
-            }
-        }
+        Ok(addr) if !addr.trim().is_empty() => listen(addr.trim(), &engine),
         _ => serve(std::io::stdin().lock(), std::io::stdout(), &engine),
     }
+}
+
+#[cfg(target_os = "linux")]
+fn listen(addr: &str, engine: &ServiceEngine) -> std::io::Result<()> {
+    let listener = std::net::TcpListener::bind(addr)?;
+    eprintln!(
+        "oocq-serve listening on {} ({})",
+        listener.local_addr()?,
+        engine.knobs()
+    );
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    crate::reactor::run(&listener, engine, &stop)
+}
+
+#[cfg(not(target_os = "linux"))]
+fn listen(_addr: &str, _engine: &ServiceEngine) -> std::io::Result<()> {
+    Err(std::io::Error::new(
+        std::io::ErrorKind::Unsupported,
+        "TCP serving (OOCQ_LISTEN) needs Linux epoll; unset OOCQ_LISTEN to serve stdin/stdout",
+    ))
 }
 
 #[cfg(test)]

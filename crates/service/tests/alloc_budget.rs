@@ -13,6 +13,8 @@
 //! records both counts). Counts differ a little between build profiles, so
 //! `scripts/ci.sh` runs this test in release too.
 
+#![cfg(target_os = "linux")]
+
 use oocq_core::EngineConfig;
 use oocq_service::{CanonicalDecisionCache, ServiceEngine};
 use std::alloc::{GlobalAlloc, Layout, System};

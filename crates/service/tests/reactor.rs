@@ -1,18 +1,21 @@
-//! TCP integration tests for the event-driven serving reactor.
+//! TCP integration tests for the event-driven serving reactor, the
+//! daemon's one TCP server (Linux only).
 //!
-//! These drive the real socket paths — [`oocq_service::reactor::run`] and
-//! the legacy thread-per-connection [`oocq_service::accept_loop`]
-//! (`OOCQ_REACTOR=0`) — with hundreds of concurrent pipelined clients and
-//! pin the determinism contract at the transport level: every connection's
-//! transcript must be byte-identical to the in-process [`serve`] loop on
-//! the same input, across serving modes and worker-pool sizes.
+//! These drive the real socket path — [`oocq_service::reactor::run`] —
+//! with hundreds of concurrent pipelined clients and pin the determinism
+//! contract at the transport level: every connection's transcript must be
+//! byte-identical to the in-process [`serve`] loop on the same input,
+//! across worker-pool sizes. Hostile peers (a writer that never finishes a
+//! line, a reader that never reads) must not stall anyone else.
+
+#![cfg(target_os = "linux")]
 
 use oocq_core::EngineConfig;
-use oocq_service::{accept_loop, escape, CanonicalDecisionCache, ServiceEngine};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use oocq_service::reactor::Loopback;
+use oocq_service::{escape, CanonicalDecisionCache, ServiceEngine};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -21,43 +24,6 @@ fn engine(threads: usize) -> ServiceEngine {
         EngineConfig::with_threads(threads),
         Some(Arc::new(CanonicalDecisionCache::new(4096))),
     )
-}
-
-/// A serving-mode-agnostic server handle: stops and joins on drop.
-struct Server {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<std::io::Result<()>>>,
-}
-
-impl Server {
-    fn start(engine: ServiceEngine, reactor: bool) -> Server {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let handle = std::thread::spawn(move || {
-            if reactor {
-                oocq_service::reactor::run(&listener, &engine, &stop2)
-            } else {
-                accept_loop(&listener, &engine, &stop2)
-            }
-        });
-        Server {
-            addr,
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop.store(true, SeqCst);
-        if let Some(h) = self.handle.take() {
-            h.join().unwrap().unwrap();
-        }
-    }
 }
 
 /// Pipeline a whole session over one connection and collect the reply.
@@ -113,24 +79,9 @@ fn storm(addr: SocketAddr, sessions: &[(String, String)], n: usize) -> Vec<(Stri
 #[test]
 fn reactor_serves_hundreds_of_concurrent_pipelined_clients_byte_identically() {
     let sessions = sessions();
-    let server = Server::start(engine(8), true);
-    for (i, (got, expected)) in storm(server.addr, &sessions, 240).into_iter().enumerate() {
+    let server = Loopback::start(engine(8)).unwrap();
+    for (i, (got, expected)) in storm(server.addr(), &sessions, 240).into_iter().enumerate() {
         assert_eq!(got, expected, "transcript drift on connection {i}");
-    }
-}
-
-/// The reactor and the legacy thread-per-connection path (`OOCQ_REACTOR=0`)
-/// must be observationally indistinguishable, byte for byte.
-#[test]
-fn reactor_and_thread_per_connection_transcripts_are_byte_identical() {
-    let sessions = sessions();
-    let reactor = Server::start(engine(4), true);
-    let legacy = Server::start(engine(4), false);
-    let via_reactor = storm(reactor.addr, &sessions, 40);
-    let via_legacy = storm(legacy.addr, &sessions, 40);
-    for (i, ((r, expected), (l, _))) in via_reactor.iter().zip(&via_legacy).enumerate() {
-        assert_eq!(r, l, "serving modes disagree on connection {i}");
-        assert_eq!(r, expected, "both modes drifted from serve() on {i}");
     }
 }
 
@@ -138,10 +89,10 @@ fn reactor_and_thread_per_connection_transcripts_are_byte_identical() {
 #[test]
 fn reactor_transcripts_are_identical_across_thread_counts() {
     let sessions = sessions();
-    let serial = Server::start(engine(1), true);
-    let pooled = Server::start(engine(8), true);
-    let one = storm(serial.addr, &sessions, 10);
-    let eight = storm(pooled.addr, &sessions, 10);
+    let serial = Loopback::start(engine(1)).unwrap();
+    let pooled = Loopback::start(engine(8)).unwrap();
+    let one = storm(serial.addr(), &sessions, 10);
+    let eight = storm(pooled.addr(), &sessions, 10);
     for (i, ((a, _), (b, _))) in one.iter().zip(&eight).enumerate() {
         assert_eq!(a, b, "OOCQ_THREADS changed reactor bytes on connection {i}");
     }
@@ -156,42 +107,38 @@ fn reactor_transcripts_are_identical_across_thread_counts() {
 #[test]
 fn pipelined_replies_are_not_held_back_by_nagle() {
     const ROUNDS: u32 = 50;
-    for reactor in [true, false] {
-        let e = engine(2);
-        e.define_schema("s", "class C {}").unwrap();
-        e.define_query("s", "Q", "{ x | x in C }").unwrap();
-        let server = Server::start(e, reactor);
-        let mut stream = TcpStream::connect(server.addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut round = || {
-            stream.write_all(b"ping\ncontains s Q Q\n").unwrap();
-            for _ in 0..2 {
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                assert!(line.contains("] ok "), "unexpected reply {line:?}");
-            }
-        };
-        for _ in 0..5 {
-            round();
+    let e = engine(2);
+    e.define_schema("s", "class C {}").unwrap();
+    e.define_query("s", "Q", "{ x | x in C }").unwrap();
+    let server = Loopback::start(e).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut round = || {
+        stream.write_all(b"ping\ncontains s Q Q\n").unwrap();
+        for _ in 0..2 {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains("] ok "), "unexpected reply {line:?}");
         }
-        let start = Instant::now();
-        for _ in 0..ROUNDS {
-            round();
-        }
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed < Duration::from_millis(20 * u64::from(ROUNDS)),
-            "{ROUNDS} pipelined rounds took {elapsed:?} (reactor = {reactor}): \
-             replies are waiting on delayed ACKs"
-        );
+    };
+    for _ in 0..5 {
+        round();
     }
+    let start = Instant::now();
+    for _ in 0..ROUNDS {
+        round();
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(20 * u64::from(ROUNDS)),
+        "{ROUNDS} pipelined rounds took {elapsed:?}: replies are waiting on delayed ACKs"
+    );
 }
 
 /// Names resolve when a decision request is read: an unbound name answers
-/// the same error text at the same `[seq]` on the stdin `serve` loop, the
-/// reactor and the thread-per-connection loop, whether it names no query
-/// yet, one bound only later, or one in a session that was redefined in
-/// between.
+/// the same error text at the same `[seq]` on the stdin `serve` loop and
+/// the reactor, whether it names no query yet, one bound only later, or
+/// one in a session that was redefined in between.
 #[test]
 fn unknown_names_answer_the_same_text_at_the_same_seq_on_every_path() {
     let input = "stats off\n\
@@ -225,12 +172,114 @@ fn unknown_names_answer_the_same_text_at_the_same_seq_on_every_path() {
     let mut stdin = Vec::new();
     oocq_service::serve(input.as_bytes(), &mut stdin, &engine(2)).unwrap();
     assert_eq!(String::from_utf8(stdin).unwrap(), expected, "stdin serve");
-    for reactor in [true, false] {
-        let server = Server::start(engine(2), reactor);
-        assert_eq!(
-            exchange(server.addr, input),
-            expected,
-            "reactor = {reactor}"
-        );
+    let server = Loopback::start(engine(2)).unwrap();
+    assert_eq!(exchange(server.addr(), input), expected, "reactor");
+}
+
+/// A connection with read and write guards, so a stalled server fails
+/// the test instead of hanging it.
+fn connect(addr: SocketAddr) -> TcpStream {
+    let s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    s.set_write_timeout(Some(Duration::from_secs(30))).unwrap();
+    s
+}
+
+/// Send one line on `stream` and read its one reply line.
+fn ask(stream: &mut TcpStream, line: &str) -> String {
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let mut reply = Vec::new();
+    let mut byte = [0u8; 1];
+    loop {
+        match stream.read(&mut byte) {
+            Ok(0) => break,
+            Ok(_) if byte[0] == b'\n' => break,
+            Ok(_) => reply.push(byte[0]),
+            Err(e) => panic!("no reply to {line:?}: {e}"),
+        }
     }
+    String::from_utf8(reply).unwrap()
+}
+
+/// A peer that trickles a line a few bytes at a time and never finishes
+/// it holds no one up: between its fragments a second connection's `ping`
+/// is answered, and the fragments still assemble into one request when
+/// the newline finally comes.
+#[test]
+fn a_trickling_writer_does_not_stall_another_connection() {
+    let server = Loopback::start(engine(2)).unwrap();
+    let mut trickler = connect(server.addr());
+    let mut other = connect(server.addr());
+    assert_eq!(ask(&mut other, "stats off"), "[0] ok stats off");
+    for (i, fragment) in ["st", "ats", " ", "o", "f"].iter().enumerate() {
+        trickler.write_all(fragment.as_bytes()).unwrap();
+        trickler.flush().unwrap();
+        assert_eq!(ask(&mut other, "ping"), format!("[{}] ok pong", i + 1));
+    }
+    assert_eq!(ask(&mut trickler, "f"), "[0] ok stats off");
+}
+
+/// A peer that pipelines far more than the 1 MiB output cap and never
+/// reads its replies is pushed back on (its writes stop being accepted)
+/// while a second connection's `ping` keeps being answered; closing it
+/// frees its connection slot for the next client.
+#[test]
+fn a_peer_that_never_reads_is_pushed_back_on_and_its_close_frees_its_slot() {
+    const CAP: usize = 1 << 20;
+    let server = Loopback::start(engine(2).with_max_conns(2)).unwrap();
+    let mut hog = connect(server.addr());
+    let mut other = connect(server.addr());
+    assert_eq!(ask(&mut other, "stats off"), "[0] ok stats off");
+    let mut seq = 1;
+    // Each line is an unknown command whose error reply echoes it, so the
+    // replies are as large as the requests.
+    let mut line = "x".repeat(64 << 10);
+    line.push('\n');
+    hog.set_nonblocking(true).unwrap();
+    let (mut written, mut blocked_rounds) = (0usize, 0);
+    let mut at = 0;
+    while blocked_rounds < 3 {
+        assert!(
+            written < 64 * CAP,
+            "the server kept reading a peer that never reads ({written} bytes)"
+        );
+        match hog.write(&line.as_bytes()[at..]) {
+            Ok(n) => {
+                written += n;
+                at = (at + n) % line.len();
+                blocked_rounds = 0;
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                // The other connection is served whether the hog's
+                // socket is full for a moment or for good.
+                assert_eq!(ask(&mut other, "ping"), format!("[{seq}] ok pong"));
+                seq += 1;
+                if written > 2 * CAP {
+                    blocked_rounds += 1;
+                }
+            }
+            Err(e) => panic!("hog write failed: {e}"),
+        }
+    }
+    // Both slots are taken: a third client is turned away.
+    let mut third = connect(server.addr());
+    assert!(
+        ask(&mut third, "ping").contains("err busy"),
+        "a third connection was admitted past the cap"
+    );
+    drop(hog);
+    // Once the reactor sees the hog's close, its slot takes a new client.
+    let mut attempts = 0;
+    loop {
+        let mut next = connect(server.addr());
+        let reply = ask(&mut next, "ping");
+        if reply.starts_with("[0] ok pong") {
+            break;
+        }
+        assert!(reply.contains("err busy"), "unexpected reply {reply:?}");
+        attempts += 1;
+        assert!(attempts < 500, "the closed peer's slot was never freed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(ask(&mut other, "ping"), format!("[{seq}] ok pong"));
 }

@@ -12,7 +12,7 @@ use oocq::{parse_query, parse_schema, strategy_for, Engine, Query, Schema, Strat
 fn check(schema: &Schema, label: &str, q1: &Query, q2: &Query) {
     // Prepare both sides once; the forward check, backward check, and
     // certificate below all reuse the same memoized artifacts.
-    let engine = Engine::from_env();
+    let engine = Engine::serial();
     let ps = engine.prepare_schema(schema);
     let (p1, p2) = (engine.prepare(&ps, q1), engine.prepare(&ps, q2));
     let fwd = engine.contains(&p1, &p2).unwrap();

@@ -36,7 +36,7 @@ fn main() {
 
     // Prepare once, decide many times: the Engine memoizes every derived
     // artifact (analysis, terminal classes, expansion) on the handles.
-    let engine = Engine::from_env();
+    let engine = Engine::serial();
     let prepared_schema = engine.prepare_schema(&schema);
     let prepared = engine.prepare(&prepared_schema, &query);
 

@@ -19,7 +19,7 @@ fn main() {
         "{ x | exists y: x in Vehicle & y in Discount & x in y.VehRented }",
     )
     .unwrap();
-    let engine = Engine::from_env();
+    let engine = Engine::serial();
     let prepared_schema = engine.prepare_schema(&schema);
     let optimal = engine
         .minimize(&engine.prepare(&prepared_schema, &query))

@@ -50,6 +50,12 @@ if [ "${OOCQ_CI_SKIP_HEAVY:-0}" != "1" ]; then
     # and duplicate schema ids — through the log scanner and a cache open.
     echo "ci: decision-log mutation sweep (release, 5000 seeds)"
     cargo test -q --release -p oocq-service --lib -- --ignored persist_fuzz
+    # Protocol mutation sweep: the same idea over request lines — byte
+    # flips, truncations, spliced arguments, stray escapes and `limit=`
+    # prefixes — through parse_request, asserting no panic, one-line
+    # responses, and escape/unescape round trips.
+    echo "ci: protocol mutation sweep (release, 5000 seeds)"
+    cargo test -q --release -p oocq-service --test protocol_fuzz -- --ignored
     # Timing-sensitive gate: the deadline tests race the engine against a
     # wall clock, so a single green run says little about a flaky one.
     # Rerun them ten times in the shipped profile; any red run fails CI.
@@ -113,10 +119,10 @@ if [ "${OOCQ_CI_SKIP_HEAVY:-0}" != "1" ]; then
     echo "ci: oracle_fuzz constrained sweep"
     cargo run --release -q --bin oracle_fuzz -- --constrained \
         --iterations 500 --min-confirm 0.5
-    # Serving gate: bench_load carries in-binary floors for singleflight
+    # Serving gate: bench_load carries an in-binary floor for singleflight
     # coalescing (>=5x the uncoalesced hot-key throughput); the quick
-    # preset exercises the reactor, the legacy accept loop, and the
-    # coalescing path end to end over real sockets.
+    # preset drives the reactor, the daemon's one TCP server, through its
+    # cheap and hot-key phases end to end over real sockets.
     echo "ci: bench_load smoke (quick mode)"
     OOCQ_BENCH_QUICK=1 cargo run --release -q --bin bench_load \
         -- target/BENCH_load_smoke.json

@@ -3,40 +3,37 @@
 //! load-oriented point in the bench trajectory (B8 measured per-request
 //! cache latency; this measures the transport).
 //!
-//! Four phases, each against an in-process server on a loopback socket,
+//! Three phases, each against an in-process reactor on a loopback socket,
 //! driven by a single-threaded poll-multiplexed client so the measurement
 //! itself stays cheap at a thousand connections:
 //!
-//! * **reactor / thread_per_conn** — the same cheap cached-containment
-//!   workload pipelined over many concurrent connections through the
-//!   event-driven reactor (`OOCQ_REACTOR=1`) and the legacy
-//!   thread-per-connection loop (`OOCQ_REACTOR=0`). At high connection
-//!   counts the legacy path pays a thread (plus a worker pool) per
-//!   connection; the reactor multiplexes everything over one fixed pool.
+//! * **reactor** — a cheap cached-containment workload pipelined over many
+//!   concurrent connections, all multiplexed over one fixed worker pool.
 //! * **coalesced / uncoalesced** — every connection hammers the *same*
 //!   expensive containment check with the decision cache disabled, with
 //!   singleflight coalescing on and off. Coalescing collapses each wave of
 //!   identical requests into one branch-engine computation fanned out to
 //!   all waiters.
 //!
-//! In-binary floors (the acceptance bars for this experiment): coalesced
-//! hot-key throughput must be ≥5× uncoalesced, and — at the full preset's
-//! high connection count — the reactor must sustain ≥2× the req/s of the
-//! thread-per-connection path.
+//! In-binary floor (the acceptance bar for this experiment): coalesced
+//! hot-key throughput must be ≥5× uncoalesced.
 //!
 //! Usage: `bench_load [OUT.json]` (default `BENCH_load.json`).
-//! `OOCQ_BENCH_QUICK=1` selects a small smoke preset (fewer connections,
-//! reactor-vs-legacy floor relaxed to parity — contention ratios need the
-//! full preset to be meaningful).
+//! `OOCQ_BENCH_QUICK=1` selects a small smoke preset (fewer connections).
+//! The reactor and this client both sleep on epoll, so the bench runs on
+//! Linux only.
+
+#![cfg_attr(not(target_os = "linux"), allow(dead_code, unused_imports))]
 
 use oocq_core::EngineConfig;
-use oocq_service::poll::{PollEvent, Poller};
-use oocq_service::{accept_loop, CanonicalDecisionCache, ServiceEngine};
+use oocq_service::poll::PollEvent;
+#[cfg(target_os = "linux")]
+use oocq_service::{poll::Poller, reactor::Loopback};
+use oocq_service::{CanonicalDecisionCache, ServiceEngine};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,9 +60,6 @@ struct Preset {
     pipeline_depth: usize,
     hot_connections: usize,
     hot_requests_per_conn: usize,
-    /// The reactor-vs-legacy floor only binds at the full preset: at smoke
-    /// scale there is no contention for the reactor to win.
-    reactor_floor: f64,
 }
 
 impl Preset {
@@ -77,7 +71,6 @@ impl Preset {
                 pipeline_depth: 2,
                 hot_connections: 16,
                 hot_requests_per_conn: 3,
-                reactor_floor: 0.0,
             }
         } else {
             Preset {
@@ -86,45 +79,7 @@ impl Preset {
                 pipeline_depth: 4,
                 hot_connections: 64,
                 hot_requests_per_conn: 8,
-                reactor_floor: 2.0,
             }
-        }
-    }
-}
-
-/// An in-process server in either serving mode; stops and joins on drop.
-struct Server {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<std::io::Result<()>>>,
-}
-
-impl Server {
-    fn start(engine: ServiceEngine, reactor: bool) -> Server {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let handle = std::thread::spawn(move || {
-            if reactor {
-                oocq_service::reactor::run(&listener, &engine, &stop2)
-            } else {
-                accept_loop(&listener, &engine, &stop2)
-            }
-        });
-        Server {
-            addr,
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop.store(true, SeqCst);
-        if let Some(h) = self.handle.take() {
-            h.join().unwrap().expect("server loop failed");
         }
     }
 }
@@ -168,7 +123,6 @@ impl ClientConn {
 
 struct Phase {
     name: &'static str,
-    mode: &'static str,
     connections: usize,
     requests: usize,
     wall: Duration,
@@ -195,9 +149,9 @@ impl Phase {
 /// `requests_per_conn` copies of `request` with up to `depth` in flight,
 /// against `addr`. Returns wall time and per-request latencies. The
 /// connect + `stats off` handshake is excluded from the measurement.
+#[cfg(target_os = "linux")]
 fn run_phase(
     name: &'static str,
-    mode: &'static str,
     addr: SocketAddr,
     connections: usize,
     requests_per_conn: usize,
@@ -317,7 +271,6 @@ fn run_phase(
     latencies.sort_unstable();
     Phase {
         name,
-        mode,
         connections,
         requests: connections * requests_per_conn,
         wall,
@@ -346,6 +299,7 @@ fn hot_engine(coalesce: bool) -> ServiceEngine {
     e
 }
 
+#[cfg(target_os = "linux")]
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -363,11 +317,10 @@ fn main() {
     );
 
     let reactor = {
-        let server = Server::start(cheap_engine(), true);
+        let server = Loopback::start(cheap_engine()).expect("start reactor");
         run_phase(
             "reactor_cheap",
-            "reactor",
-            server.addr,
+            server.addr(),
             p.connections,
             p.requests_per_conn,
             p.pipeline_depth,
@@ -375,25 +328,11 @@ fn main() {
         )
     };
     eprintln!("  reactor: {:.0} req/s", reactor.rps());
-    let legacy = {
-        let server = Server::start(cheap_engine(), false);
-        run_phase(
-            "thread_per_conn_cheap",
-            "thread_per_conn",
-            server.addr,
-            p.connections,
-            p.requests_per_conn,
-            p.pipeline_depth,
-            CHEAP_REQUEST,
-        )
-    };
-    eprintln!("  thread-per-conn: {:.0} req/s", legacy.rps());
     let coalesced = {
-        let server = Server::start(hot_engine(true), true);
+        let server = Loopback::start(hot_engine(true)).expect("start reactor");
         run_phase(
             "coalesced_hot_key",
-            "reactor",
-            server.addr,
+            server.addr(),
             p.hot_connections,
             p.hot_requests_per_conn,
             1,
@@ -402,11 +341,10 @@ fn main() {
     };
     eprintln!("  coalesced hot key: {:.0} req/s", coalesced.rps());
     let uncoalesced = {
-        let server = Server::start(hot_engine(false), true);
+        let server = Loopback::start(hot_engine(false)).expect("start reactor");
         run_phase(
             "uncoalesced_hot_key",
-            "reactor",
-            server.addr,
+            server.addr(),
             p.hot_connections,
             p.hot_requests_per_conn,
             1,
@@ -415,7 +353,6 @@ fn main() {
     };
     eprintln!("  uncoalesced hot key: {:.0} req/s", uncoalesced.rps());
 
-    let reactor_ratio = reactor.rps() / legacy.rps();
     let coalesce_ratio = coalesced.rps() / uncoalesced.rps();
     assert!(
         coalesce_ratio >= 5.0,
@@ -425,19 +362,7 @@ fn main() {
         uncoalesced.rps(),
         coalesce_ratio,
     );
-    assert!(
-        reactor_ratio >= p.reactor_floor,
-        "reactor floor: event-driven serving must sustain >= {}x the \
-         thread-per-connection req/s at {} connections \
-         (reactor {:.0} req/s, legacy {:.0} req/s, ratio {:.1})",
-        p.reactor_floor,
-        p.connections,
-        reactor.rps(),
-        legacy.rps(),
-        reactor_ratio,
-    );
-
-    let phases = [&reactor, &legacy, &coalesced, &uncoalesced];
+    let phases = [&reactor, &coalesced, &uncoalesced];
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"schema_version\": 1,\n");
@@ -459,11 +384,10 @@ fn main() {
     json.push_str("  \"entries\": [\n");
     for (i, ph) in phases.iter().enumerate() {
         json.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"mode\": \"{}\", \"connections\": {}, \
+            "    {{ \"name\": \"{}\", \"connections\": {}, \
              \"requests\": {}, \"wall_ms\": {:.1}, \"rps\": {:.0}, \
              \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1} }}{}\n",
             ph.name,
-            ph.mode,
             ph.connections,
             ph.requests,
             ph.wall.as_secs_f64() * 1e3,
@@ -476,16 +400,18 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"ratios\": {{ \"reactor_vs_thread_per_conn\": {:.2}, \"reactor_floor\": {:.1}, \
-         \"coalesced_vs_uncoalesced\": {:.2}, \"coalesce_floor\": 5.0 }}\n",
-        reactor_ratio, p.reactor_floor, coalesce_ratio
+        "  \"ratios\": {{ \"coalesced_vs_uncoalesced\": {coalesce_ratio:.2}, \
+         \"coalesce_floor\": 5.0 }}\n"
     ));
     json.push_str("}\n");
 
     std::fs::write(&out_path, &json).unwrap();
     println!("wrote {out_path}");
-    println!(
-        "bench_load: reactor {:.1}x thread-per-conn, coalescing {:.1}x uncoalesced",
-        reactor_ratio, coalesce_ratio
-    );
+    println!("bench_load: coalescing {coalesce_ratio:.1}x uncoalesced");
+}
+
+#[cfg(not(target_os = "linux"))]
+fn main() {
+    eprintln!("bench_load: the serving reactor needs Linux epoll");
+    std::process::exit(1);
 }

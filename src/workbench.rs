@@ -4,8 +4,8 @@
 //!
 //! The actual runner lives in `oocq-service` ([`oocq_service::run_program_with`])
 //! so the `oocq-serve` daemon can execute `run` requests with an explicit
-//! [`EngineConfig`]; these wrappers preserve the original environment-driven
-//! API and its exact output bytes.
+//! [`EngineConfig`]; these wrappers run it on the serial engine (no
+//! decision reads the pool size) and keep its exact output bytes.
 
 use crate::{parse_program, CoreError, EngineConfig, ParseError, Program};
 use oocq_service::RunError;
@@ -57,10 +57,9 @@ pub fn run_workbench(source: &str) -> Result<String, WorkbenchError> {
     run_program(&program).map_err(Into::into)
 }
 
-/// Run an already-parsed program under the environment configuration
-/// (`OOCQ_THREADS`).
+/// Run an already-parsed program on the serial engine.
 pub fn run_program(program: &Program) -> Result<String, CoreError> {
-    oocq_service::run_program_with(program, &EngineConfig::from_env())
+    oocq_service::run_program_with(program, &EngineConfig::serial())
 }
 
 #[cfg(test)]
